@@ -20,12 +20,14 @@ This script plays the whole lifecycle in-process, in one directory:
    anchor.
 
 Set REPRO_EXAMPLE_FAST=1 to shrink the matrix (used by the smoke tests).
+Exits non-zero if any run did not finish ``ok``.
 
 Run:  python examples/sharded_campaign.py
 """
 
 import json
 import os
+import sys
 import tempfile
 
 from repro.campaign import CampaignRunner, CampaignSpec, merge_shards
@@ -59,7 +61,7 @@ def artifact_bytes(out_dir) -> dict:
     return content
 
 
-def main() -> None:
+def main() -> int:
     fast = bool(os.environ.get("REPRO_EXAMPLE_FAST"))
     spec_dict = campaign_spec(fast)
     shards = 3
@@ -123,7 +125,13 @@ def main() -> None:
         "the merged artifact is byte-identical to the single-host run\n"
         "even after a shard crashed and was resumed elsewhere."
     )
+    # the merged artifact equals the anchor, so its records speak for both
+    failed = [r for r in records if r["status"] != "ok"]
+    for record in failed:
+        print(f"{record['run_id']}: {record['status']}: {record.get('error')}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

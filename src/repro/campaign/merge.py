@@ -57,6 +57,7 @@ from repro.campaign.shard import (
     spec_fingerprint,
 )
 from repro.campaign.spec import CampaignSpec
+from repro.obs.schema import check_fields, jsonl_objects
 
 #: Conflict quarantine sidecar written into the merge output directory.
 MERGE_CONFLICTS = "merge-conflicts.jsonl"
@@ -108,36 +109,9 @@ def validate_merge_conflicts_file(path) -> int:
     garbage).  Raises ``ValueError`` on the first malformed line.
     """
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if not isinstance(entry, dict):
-                raise ValueError(
-                    f"{path}: line {lineno}: conflict entry must be an "
-                    f"object, got {type(entry).__name__}"
-                )
-            for name, expected in _CONFLICT_FIELDS.items():
-                if name not in entry:
-                    raise ValueError(
-                        f"{path}: line {lineno}: missing field {name!r}"
-                    )
-                value = entry[name]
-                if expected is int:
-                    ok = isinstance(value, int) and not isinstance(value, bool)
-                else:
-                    ok = isinstance(value, expected)
-                if not ok:
-                    raise ValueError(
-                        f"{path}: line {lineno}: field {name!r} must be "
-                        f"{expected.__name__}, got {type(value).__name__}"
-                    )
-            count += 1
+    for where, entry in jsonl_objects(path, "conflict entry"):
+        check_fields(entry, _CONFLICT_FIELDS, where)
+        count += 1
     return count
 
 

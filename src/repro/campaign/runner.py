@@ -72,6 +72,7 @@ from repro.campaign.shard import (
 )
 from repro.campaign.spec import CampaignSpec
 from repro.ipv6.address import IPv6Address
+from repro.obs.schema import check_fields, jsonl_objects
 from repro.scenarios import (
     CBRTraffic,
     PoissonTraffic,
@@ -320,13 +321,10 @@ def execute_batch(runs: list[dict]) -> list[dict]:
 
 
 def _timed_execute_batch(runs: list[dict]) -> dict:
-    """:func:`execute_batch` plus wall-clock metadata, for telemetry.
-
-    Submitted to workers instead of :func:`execute_batch` when the
-    runner's telemetry sidecar is enabled, so each batch record can
-    carry the executing worker's pid and in-worker wall time.  The run
-    records themselves are untouched -- telemetry never changes
-    ``results.jsonl``.
+    """The task every executor runs: :func:`execute_batch` plus the
+    executing worker's pid and in-worker wall time, which the telemetry
+    sidecar reports when enabled.  The run records themselves are
+    untouched -- telemetry never changes ``results.jsonl``.
     """
     started = time.perf_counter()
     records = execute_batch(runs)
@@ -530,40 +528,11 @@ def validate_quarantine_file(path) -> int:
     sidecars the same way telemetry files are checked.
     """
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if not isinstance(entry, dict):
-                raise ValueError(
-                    f"{path}: line {lineno}: quarantine entry must be an "
-                    f"object, got {type(entry).__name__}"
-                )
-            for name, expected in _QUARANTINE_FIELDS.items():
-                if name not in entry:
-                    raise ValueError(
-                        f"{path}: line {lineno}: missing field {name!r}"
-                    )
-                value = entry[name]
-                if expected is int:
-                    ok = isinstance(value, int) and not isinstance(value, bool)
-                else:
-                    ok = isinstance(value, expected)
-                if not ok:
-                    raise ValueError(
-                        f"{path}: line {lineno}: field {name!r} must be "
-                        f"{expected.__name__}, got {type(value).__name__}"
-                    )
-            if entry["attempts"] < 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: attempts must be >= 1"
-                )
-            count += 1
+    for where, entry in jsonl_objects(path, "quarantine entry"):
+        check_fields(entry, _QUARANTINE_FIELDS, where)
+        if entry["attempts"] < 1:
+            raise ValueError(f"{where}: attempts must be >= 1")
+        count += 1
     return count
 
 
@@ -726,18 +695,6 @@ class CampaignRunner:
             )
 
     # -- resume helpers -------------------------------------------------
-    @staticmethod
-    def _spec_fingerprint(data: dict) -> dict:
-        """Spec dict minus execution/reporting-only keys.
-
-        ``batch_size`` never changes results; ``summary_mode`` only
-        changes how reports reduce them; the retry knobs govern how hard
-        the runner fights worker death; the shard keys say *where* a
-        slice executes, never what it computes.  None of them may block
-        a resume (see :func:`repro.campaign.shard.spec_fingerprint`).
-        """
-        return spec_fingerprint(data)
-
     def _check_spec_provenance(self) -> None:
         """Refuse to resume into an output directory from a different spec."""
         spec_path = os.path.join(self.out_dir, "spec.json")
@@ -745,7 +702,8 @@ class CampaignRunner:
             return
         with open(spec_path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
-        if self._spec_fingerprint(saved) != self._spec_fingerprint(self.spec.to_dict()):
+        # execution/reporting-only keys never block a resume
+        if spec_fingerprint(saved) != spec_fingerprint(self.spec.to_dict()):
             raise ValueError(
                 f"refusing to resume: {spec_path} was written by a different "
                 "campaign spec; finishing it with this one would mix matrices"
@@ -889,7 +847,10 @@ class CampaignRunner:
         self._stop_signal = signum
 
     def _batch_telemetry(self, outcome: dict, retried: bool = False) -> None:
-        """Emit one ``batch`` telemetry record for a completed outcome."""
+        """Emit one ``batch`` telemetry record for a completed outcome
+        (a no-op while telemetry is off)."""
+        if self._telemetry is None:
+            return
         batch_records = outcome["records"]
         ok = sum(1 for r in batch_records if r["status"] == "ok")
         # Crypto and fault-injection load of the batch, from the ok
@@ -930,21 +891,17 @@ class CampaignRunner:
         runs are reported as the ``abandoned`` telemetry record's
         ``in_flight`` list and re-executed by ``campaign resume``.
         """
-        task = execute_batch if self._telemetry is None else _timed_execute_batch
         orphaned = []  # (payload, exc) whose worker died mid-batch
 
         def on_outcome(chunk, value, error):
             if error is not None:
                 orphaned.extend((p, error) for p in chunk)
                 return
-            if self._telemetry is None:
-                self._ingest(value, records, stream)
-            else:
-                self._ingest(value["records"], records, stream)
-                self._batch_telemetry(value)
+            self._ingest(value["records"], records, stream)
+            self._batch_telemetry(value)
 
         unfinished = executor.run_batches(
-            chunks, task, on_outcome,
+            chunks, _timed_execute_batch, on_outcome,
             should_stop=lambda: self._stop_signal is not None,
         )
         if self._stop_signal is not None:
@@ -987,25 +944,23 @@ class CampaignRunner:
                 continue
             self._ingest([record], records, stream,
                          suffix=f" (retry {retry})")
-            if self._telemetry is not None:
-                # the retry pool's worker pid is gone with the pool;
-                # report the coordinating process instead
-                self._batch_telemetry({
-                    "records": [record],
-                    "wall_s": time.perf_counter() - retry_started,
-                    "worker_pid": os.getpid(),
-                }, retried=True)
-            return
-        record = _quarantine_record(payload, last_exc,
-                                    self.spec.retry_max_attempts)
-        self._quarantine(record)
-        self._ingest([record], records, stream, suffix=" (quarantined)")
-        if self._telemetry is not None:
+            # the retry pool's worker pid is gone with the pool; report
+            # the coordinating process instead
             self._batch_telemetry({
                 "records": [record],
                 "wall_s": time.perf_counter() - retry_started,
                 "worker_pid": os.getpid(),
             }, retried=True)
+            return
+        record = _quarantine_record(payload, last_exc,
+                                    self.spec.retry_max_attempts)
+        self._quarantine(record)
+        self._ingest([record], records, stream, suffix=" (quarantined)")
+        self._batch_telemetry({
+            "records": [record],
+            "wall_s": time.perf_counter() - retry_started,
+            "worker_pid": os.getpid(),
+        }, retried=True)
 
     def _quarantine(self, record: dict) -> None:
         """Append an fsync'd diagnostic line to ``quarantine.jsonl``."""

@@ -36,6 +36,8 @@ import json
 import os
 import re
 
+from repro.obs.schema import check_fields
+
 #: Manifest filename inside a shard directory.
 SHARD_MANIFEST = "shard.json"
 
@@ -199,19 +201,7 @@ def validate_shard_manifest(manifest: dict, source: str = "shard manifest") -> N
             f"{source}: schema version {manifest.get('v')!r} "
             f"(expected {SHARD_SCHEMA_VERSION})"
         )
-    for name, expected in _MANIFEST_FIELDS.items():
-        if name not in manifest:
-            raise ValueError(f"{source}: missing field {name!r}")
-        value = manifest[name]
-        if expected is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, expected)
-        if not ok:
-            raise ValueError(
-                f"{source}: field {name!r} must be {expected.__name__}, "
-                f"got {type(value).__name__}"
-            )
+    check_fields(manifest, _MANIFEST_FIELDS, source)
     if manifest["shard_count"] < 1:
         raise ValueError(f"{source}: shard_count must be >= 1")
     if not 0 <= manifest["shard_index"] < manifest["shard_count"]:

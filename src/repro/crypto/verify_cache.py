@@ -10,7 +10,7 @@ triple.  :class:`SharedVerifyCache` is the per-scenario promotion of
 that memo: one instance hangs off :class:`~repro.core.context.NetContext`
 and a signature verified once at *any* node is a hit everywhere.
 
-Byte-identity contract (the ``medium_vectorized`` discipline): a shared
+Byte-identity contract: a shared
 hit replays the **exact observable sequence of a real verify** -- the
 per-node LRU is consulted first and left untouched in semantics, the
 ``verify`` metric op is counted, the backend's simulated ``op_cost`` is

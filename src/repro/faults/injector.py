@@ -7,15 +7,16 @@ random choice (seeded partition groups, surge and corruption draws)
 comes from dedicated ``faults/*`` RNG streams, so:
 
 * a fault run is byte-identical for a given seed across worker counts,
-  batch sizes, medium index/vectorization choices, and resume points;
+  batch sizes, and resume points;
 * a run whose plan has no events consumes nothing from any stream and
   is byte-identical to a run built before this subsystem existed.
 
 Frame-level faults (partition, link flap, loss surge, corruption) go
-through the medium's single ``fault_hook`` (see
-:meth:`WirelessMedium.broadcast`); the injector installs the hook only
-while at least one such fault window is open, so the medium stays on
-its vectorized fast path whenever the network is healthy.
+through the medium's single ``fault_hook``, which the batched broadcast
+pipeline and the unicast MAC both run per (frame, receiver) before the
+loss draw (see :meth:`WirelessMedium.broadcast`); the injector installs
+the hook only while at least one such fault window is open, so a
+healthy network pays no per-receiver hook call.
 
 Node-level faults (crash/recover) model *full state loss*: the radio is
 disabled, every protocol component's ``reset_state()`` runs (timers
@@ -247,9 +248,9 @@ class FaultInjector:
     def _sync_hook(self) -> None:
         """Install the hook iff some frame-level fault window is open.
 
-        Keeping the hook off while idle keeps the medium on its
-        vectorized broadcast path (and the hook's absence is what makes
-        an event-free plan byte-identical to no plan at all).
+        Keeping the hook off while idle spares every broadcast the
+        per-receiver hook calls (and the hook's absence is what makes an
+        event-free plan byte-identical to no plan at all).
         """
         active = (
             self._groups is not None

@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 
+from repro.obs.schema import check_fields, jsonl_objects
+
 #: Bumped whenever the record layout changes incompatibly; every record
 #: carries it as ``"v"`` so consumers can reject files they don't speak.
 #: v2: batch records gained fault counters (faults_injected,
@@ -125,29 +127,7 @@ def validate_telemetry_record(record: dict) -> None:
             f"unknown telemetry record kind {kind!r} for schema "
             f"v{record['v']} (expected one of {sorted(schema)})"
         )
-    for name, expected in fields.items():
-        if name not in record:
-            raise ValueError(f"telemetry {kind!r} record missing field {name!r}")
-        value = record[name]
-        # ints are acceptable floats (JSON round-trips 1.0 -> 1 sometimes),
-        # but bools are not acceptable ints.
-        if expected is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif expected is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif expected is list:
-            # Lists of non-negative run counts/indices (`abandoned`'s
-            # in_flight, `merge`'s per_shard_runs).
-            ok = isinstance(value, list) and all(
-                isinstance(v, int) and not isinstance(v, bool) for v in value
-            )
-        else:
-            ok = isinstance(value, expected)
-        if not ok:
-            raise ValueError(
-                f"telemetry {kind!r} field {name!r} must be "
-                f"{expected.__name__}, got {type(value).__name__}"
-            )
+    check_fields(record, fields, f"telemetry {kind!r} record")
 
 
 def validate_telemetry_file(path) -> int:
@@ -162,33 +142,23 @@ def validate_telemetry_file(path) -> int:
     """
     count = 0
     finished = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            try:
-                validate_telemetry_record(record)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if finished:
-                raise ValueError(
-                    f"{path}: line {lineno}: record after 'finish'"
-                )
-            if count == 0 and record["kind"] not in ("start", "merge"):
-                raise ValueError(
-                    f"{path}: line {lineno}: first record must be 'start' "
-                    f"or 'merge', got {record['kind']!r}"
-                )
-            if count > 0 and record["kind"] == "start":
-                raise ValueError(f"{path}: line {lineno}: duplicate 'start'")
-            if record["kind"] == "finish":
-                finished = True
-            count += 1
+    for where, record in jsonl_objects(path, "telemetry record"):
+        try:
+            validate_telemetry_record(record)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if finished:
+            raise ValueError(f"{where}: record after 'finish'")
+        if count == 0 and record["kind"] not in ("start", "merge"):
+            raise ValueError(
+                f"{where}: first record must be 'start' "
+                f"or 'merge', got {record['kind']!r}"
+            )
+        if count > 0 and record["kind"] == "start":
+            raise ValueError(f"{where}: duplicate 'start'")
+        if record["kind"] == "finish":
+            finished = True
+        count += 1
     if count == 0:
         raise ValueError(f"{path}: empty telemetry file")
     return count

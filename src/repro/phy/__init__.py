@@ -9,9 +9,10 @@ A deterministic unit-disk radio model standing in for the paper's
   DSR route maintenance consumes).
 * :mod:`repro.phy.mobility` -- static, random-waypoint and teleporting
   membership churn models.
-* :mod:`repro.phy.neighbor_index` -- incremental spatial-hash grid (and
-  the naive full-scan reference) behind the medium's range queries; the
-  fast path that makes 1000-node floods near-linear.
+* :mod:`repro.phy.neighbor_index` -- the incremental spatial-hash grid
+  behind the medium's range queries, which makes 1000-node floods
+  near-linear.  The naive full scan and the scalar broadcast loop it
+  replaced live on in ``tests/phy_oracles.py`` as test oracles.
 * :mod:`repro.phy.topology` -- placement generators (uniform, grid,
   chain, clustered) and connectivity analysis.
 
@@ -25,7 +26,7 @@ protocol logic is sensitive to (see DESIGN.md substitutions).
 
 from repro.phy.medium import Frame, RadioHandle, WirelessMedium, BROADCAST_LINK
 from repro.phy.mobility import MobilityModel, StaticMobility, RandomWaypoint, ChurnModel
-from repro.phy.neighbor_index import NaiveScanIndex, SpatialHashGrid, make_index
+from repro.phy.neighbor_index import SpatialHashGrid
 from repro.phy.topology import (
     chain_positions,
     grid_positions,
@@ -44,9 +45,7 @@ __all__ = [
     "StaticMobility",
     "RandomWaypoint",
     "ChurnModel",
-    "NaiveScanIndex",
     "SpatialHashGrid",
-    "make_index",
     "chain_positions",
     "grid_positions",
     "uniform_positions",

@@ -10,40 +10,38 @@ draws independent Bernoulli loss.  Unicast frames emulate an 802.11-like
 MAC: up to ``mac_retries`` retransmissions, then a failure callback --
 which is exactly the "link broken" signal DSR route maintenance needs.
 
-Receiver lookup goes through an incremental neighbor index (see
-:mod:`repro.phy.neighbor_index`): the default ``"grid"`` spatial hash
-answers "who can hear this position?" in O(local density) and is kept
-current by ``attach``/``detach``/``set_position``/``set_enabled``, so a
-network-wide flood is near-linear in N instead of quadratic.  The
-``"naive"`` index preserves the original full scan; both visit in-range
-receivers in ascending link-id order, so the ``phy/loss`` RNG draw
-sequence -- and every metric and trace -- is byte-identical across
-index choices.
+Receiver lookup goes through the incremental spatial-hash grid of
+:mod:`repro.phy.neighbor_index`: it answers "who can hear this
+position?" in O(local density) and is kept current by
+``attach``/``detach``/``set_position``/``set_enabled``, so a
+network-wide flood is near-linear in N instead of quadratic.  It visits
+in-range receivers in ascending link-id order, the order a full scan of
+the radio table would use, which pins the ``phy/loss`` draw sequence.
 
 Broadcast pipeline
 ------------------
 
-``broadcast`` runs one of two paths, selected by ``vectorized``
-(default on; ``False`` keeps the scalar loop for A/B comparison):
+``broadcast`` is one numpy pipeline:
 
 * candidate lookup -- the index returns the cached
   :class:`~repro.phy.neighbor_index.CandidateBlock` for the sender's
   cell block: sorted candidate ids plus a numpy position matrix;
-* distance/loss -- one numpy subtraction + ``sqrt`` yields every
-  sender->candidate distance, and one
-  :meth:`~repro.sim.rng.SimRNG.random_batch` draw yields every
-  per-receiver loss variate;
+* distance -- one numpy subtraction + ``sqrt`` yields every
+  sender->candidate distance (cached per sender, see ``_range_cache``);
+* fault filter -- while a :attr:`WirelessMedium.fault_hook` is
+  installed, it runs once per in-range receiver, ascending id;
+* loss -- one :meth:`~repro.sim.rng.SimRNG.random_batch` draw yields
+  every surviving receiver's loss variate;
 * batch schedule -- survivors are pushed onto the kernel heap via
   :meth:`~repro.sim.kernel.Simulator.schedule_batch`, skipping
   per-event handle allocation.
 
-Both paths compute distances as ``sqrt(dx*dx + dy*dy)`` -- multiply,
-add, and square root are all correctly-rounded IEEE-754 operations, so
-the scalar (``math.sqrt``) and vectorised (``numpy.sqrt``) forms are
-bit-identical -- and draw one ``phy/loss`` variate per in-range receiver
-in ascending link-id order, so scalar and vectorised runs (like grid
-and naive runs) produce byte-identical metrics and traces
-(tests/test_vectorized_equivalence.py pins this).
+Distances are ``sqrt(dx*dx + dy*dy)``: multiply, add and square root
+are correctly-rounded IEEE-754 operations, so the numpy form is
+bit-identical to the per-receiver scalar loop it replaced.  That loop
+and the naive full-scan index survive as test oracles
+(``tests/phy_oracles.py``), and the equivalence suites pin the pipeline
+against them event by event.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.ipv6.address import IPv6Address
-from repro.phy.neighbor_index import INDEX_KINDS, make_index
+from repro.phy.neighbor_index import SpatialHashGrid
 from repro.sim.kernel import Simulator
 
 #: Destination pseudo-link-id for broadcast frames.
@@ -118,13 +116,6 @@ class WirelessMedium:
         Unicast retransmission budget before reporting link failure.
     ack_timeout:
         Per-attempt wait before a retry / failure verdict.
-    index:
-        Neighbor index implementation: ``"grid"`` (spatial hash, the
-        default) or ``"naive"`` (full scan).  Byte-identical results.
-    vectorized:
-        Run broadcasts through the numpy pipeline (default) or the
-        scalar loop.  Byte-identical results; the scalar path exists
-        for A/B benchmarking and equivalence tests.
     """
 
     def __init__(
@@ -136,17 +127,13 @@ class WirelessMedium:
         proc_delay: float = 1e-4,
         mac_retries: int = 3,
         ack_timeout: float = 5e-3,
-        index: str = "grid",
-        vectorized: bool = True,
     ):
-        if radio_range <= 0:
-            raise ValueError("radio_range must be positive")
+        if not (math.isfinite(radio_range) and radio_range > 0):
+            raise ValueError(
+                f"radio_range must be finite and positive, got {radio_range!r}"
+            )
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        if index not in INDEX_KINDS:
-            raise ValueError(
-                f"unknown medium index {index!r} (expected one of {INDEX_KINDS})"
-            )
         self.sim = sim
         self.radio_range = radio_range
         self.bitrate = bitrate
@@ -154,9 +141,7 @@ class WirelessMedium:
         self.proc_delay = proc_delay
         self.mac_retries = mac_retries
         self.ack_timeout = ack_timeout
-        self.index_kind = index
-        self.vectorized = bool(vectorized)
-        self._index = make_index(index, radio_range)
+        self._index = SpatialHashGrid(radio_range)
         #: Optional TraceRecorder for medium-level notes (wired by NetContext).
         self.trace = None
         self._radios: dict[int, RadioHandle] = {}
@@ -168,7 +153,7 @@ class WirelessMedium:
         self._promiscuous_sorted: tuple[int, ...] = ()
         self._next_link_id = 0
         self._rng = sim.rng("phy/loss")
-        #: Vectorised-path memo: sender link id -> (block, dists, rx ids).
+        #: Broadcast memo: sender link id -> (block, dists, rx ids).
         #: Valid exactly while the index still serves the *same*
         #: CandidateBlock object for the sender's cell -- blocks are
         #: immutable and replaced wholesale on any insert/remove/move/
@@ -185,9 +170,8 @@ class WirelessMedium:
         #: consumes NO ``phy/loss`` draw, so installing/removing the
         #: hook around fault windows never shifts the loss stream for
         #: unaffected traffic.  A returned frame (possibly a corrupted
-        #: replacement) proceeds to the normal loss draw.  While a hook
-        #: is installed, broadcasts take the scalar path (byte-identical
-        #: to the vectorized one by contract).
+        #: replacement) proceeds to the normal loss draw and is what
+        #: that receiver gets.
         self.fault_hook: Callable[[int, int, Frame], Frame | None] | None = None
         # Medium-wide counters.
         self.total_frames = 0
@@ -284,35 +268,13 @@ class WirelessMedium:
             return False
         return self.distance(a, b) <= self.radio_range
 
-    def _in_range_pairs(self, link_id: int) -> list[tuple[int, float]]:
-        """``(other_id, distance)`` for enabled radios in range, ascending.
-
-        Each sender->receiver distance is measured exactly once and
-        carried to the delay computation (the old path measured it twice:
-        once for the range test, again for the delivery delay).  The
-        ascending order is load-bearing: it matches the naive scan's
-        iteration order, which pins the ``phy/loss`` draw sequence (see
-        :mod:`repro.phy.neighbor_index`).
-        """
+    def neighbors(self, link_id: int) -> list[int]:
+        """Link ids currently within radio range, ascending (a copy of
+        the cached receiver list ``broadcast`` uses)."""
         radio = self._radios.get(link_id)
         if radio is None or not radio.enabled:
             return []
-        px, py = radio.position
-        r = self.radio_range
-        block = self._index.candidates_with_positions(radio.position)
-        out: list[tuple[int, float]] = []
-        for other, (ox, oy) in zip(block.ids, block.pts):
-            if other == link_id:
-                continue
-            dx, dy = px - ox, py - oy
-            d = math.sqrt(dx * dx + dy * dy)
-            if d <= r:
-                out.append((other, d))
-        return out
-
-    def neighbors(self, link_id: int) -> list[int]:
-        """Link ids currently within radio range (instantaneous truth)."""
-        return [other for other, _ in self._in_range_pairs(link_id)]
+        return list(self._receivers(link_id, radio)[2])
 
     # -- timing -----------------------------------------------------------
     def tx_delay(self, size: int) -> float:
@@ -326,7 +288,7 @@ class WirelessMedium:
         """Transmit to every enabled radio in range.
 
         Returns the number of receivers the frame was *scheduled* to
-        (losses still apply per receiver).
+        (fault suppression and losses still apply per receiver).
 
         Delivery contract (pinned by tests/test_medium_contract.py): a
         receiver gets the frame iff it was attached **and enabled at
@@ -334,13 +296,12 @@ class WirelessMedium:
         loss draw) AND is still attached and enabled **at delivery
         time** (``_deliver`` re-checks; in-flight disable/detach
         silently eats the copy).  A radio disabled at send time is
-        excluded from the candidate set on *both* pipelines -- the
-        vectorized path's cached CandidateBlock cannot be stale here,
-        because ``set_enabled``/``attach``/``detach``/``set_position``
-        all replace the affected block wholesale and the cache is keyed
-        on block object identity -- so it consumes no ``phy/loss`` draw
-        and re-enabling before the would-be delivery time cannot
-        resurrect the frame.
+        excluded from the candidate set -- the cached CandidateBlock
+        cannot be stale here, because ``set_enabled``/``attach``/
+        ``detach``/``set_position`` all replace the affected block
+        wholesale and the cache is keyed on block object identity -- so
+        it consumes no ``phy/loss`` draw and re-enabling before the
+        would-be delivery time cannot resurrect the frame.
         """
         sender = self._radios.get(frame.src_link)
         if sender is None or not sender.enabled:
@@ -349,54 +310,48 @@ class WirelessMedium:
         self.total_bytes += frame.size
         sender.frames_sent += 1
         sender.bytes_sent += frame.size
-        hook = self.fault_hook
-        if self.vectorized and hook is None:
-            return self._broadcast_vectorized(frame, sender)
-        count = 0
-        for other_id, dist in self._in_range_pairs(frame.src_link):
-            count += 1
-            fx = frame
-            if hook is not None:
-                fx = hook(frame.src_link, other_id, frame)
-                if fx is None:
-                    self.suppressed_frames += 1
-                    continue  # no loss draw: see fault_hook contract
-            if self._rng.random() < self.loss_rate:
-                self.dropped_frames += 1
-                continue
-            delay = self._delivery_delay(frame.size, dist)
-            self.sim.schedule(delay, self._deliver, other_id, fx)
-        return count
-
-    def _broadcast_vectorized(self, frame: Frame, sender: RadioHandle) -> int:
-        """The numpy pipeline: cached receiver set -> batch losses ->
-        batch schedule.  Byte-identical to the scalar loop above."""
         src = frame.src_link
-        block = self._index.candidates_with_positions(sender.position)
-        cached = self._range_cache.get(src)
-        if cached is None or cached[0] is not block:
-            cached = self._compute_range(src, sender, block)
-            self._range_cache[src] = cached
-        _, rx_dists, rx_id_list = cached
+        _, rx_dists, rx_id_list = self._receivers(src, sender)
         count = len(rx_id_list)
         if count == 0:
             return 0
-        # One batched draw per in-range receiver, ascending id -- the same
-        # stream consumption as `count` scalar draws (SimRNG.random_batch).
-        draws = self._rng.random_batch(count)
+        frames = None
+        hook = self.fault_hook
+        if hook is not None:
+            # One hook call per in-range receiver, ascending id, before
+            # any loss draw; a suppressed copy consumes no phy/loss draw.
+            # The hook draws only from faults/* streams, so running it
+            # for every receiver ahead of the batched loss draw leaves
+            # each stream's sequence unchanged.
+            frames = [hook(src, rx, frame) for rx in rx_id_list]
+            kept = [fx is not None for fx in frames]
+            survivors = sum(kept)
+            if survivors < count:
+                self.suppressed_frames += count - survivors
+                if survivors == 0:
+                    return count
+                rx_dists = rx_dists[np.array(kept)]
+                rx_id_list = [rx for rx, ok in zip(rx_id_list, kept) if ok]
+                frames = [fx for fx in frames if fx is not None]
+        # One batched draw per surviving receiver, ascending id -- the
+        # same stream consumption as one scalar draw each
+        # (SimRNG.random_batch).
+        n = len(rx_id_list)
+        draws = self._rng.random_batch(n)
         if self.loss_rate > 0.0:
             survived = draws >= self.loss_rate
             delivered = int(survived.sum())
-            if delivered < count:
-                self.dropped_frames += count - delivered
+            if delivered < n:
+                self.dropped_frames += n - delivered
                 if delivered == 0:
                     return count
                 rx_dists = rx_dists[survived]
-                rx_id_list = [
-                    rx for rx, ok in zip(rx_id_list, survived.tolist()) if ok
-                ]
-        # (tx + d/c) + proc in exactly the scalar path's operation order;
-        # the in-place ops touch only this fresh `delays` array, never the
+                mask = survived.tolist()
+                rx_id_list = [rx for rx, ok in zip(rx_id_list, mask) if ok]
+                if frames is not None:
+                    frames = [fx for fx, ok in zip(frames, mask) if ok]
+        # (tx + d/c) + proc, as `_delivery_delay` computes it; the
+        # in-place ops touch only this fresh `delays` array, never the
         # cached distances.
         delays = rx_dists / _SPEED_OF_LIGHT
         delays += self.tx_delay(frame.size)
@@ -407,9 +362,21 @@ class WirelessMedium:
         self.sim.schedule_batch(
             delays.tolist(),
             self._deliver,
-            [(rx, frame) for rx in rx_id_list],
+            [(rx, frame) for rx in rx_id_list] if frames is None
+            else list(zip(rx_id_list, frames)),
         )
         return count
+
+    def _receivers(self, src: int, sender: RadioHandle) -> tuple:
+        """``(block, rx_dists, rx_id_list)`` for an enabled sender,
+        served from ``_range_cache`` while the index still hands out the
+        same block for the sender's cell."""
+        block = self._index.candidates_with_positions(sender.position)
+        cached = self._range_cache.get(src)
+        if cached is None or cached[0] is not block:
+            cached = self._compute_range(src, sender, block)
+            self._range_cache[src] = cached
+        return cached
 
     def _compute_range(self, src: int, sender: RadioHandle, block) -> tuple:
         """Distances from ``src`` to every in-range candidate in ``block``.
@@ -424,7 +391,7 @@ class WirelessMedium:
         dx = block.pos_arr[:, 0] - sx
         dy = block.pos_arr[:, 1] - sy
         # In-place sqrt(dx*dx + dy*dy): the same correctly-rounded IEEE
-        # op sequence as the scalar path, no extra temporaries.
+        # op sequence as ``distance``, no extra temporaries.
         dx *= dx
         dy *= dy
         dx += dy

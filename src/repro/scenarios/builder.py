@@ -161,9 +161,19 @@ class Scenario:
             self.faults.arm()
 
     def run(self, until: float | None = None, duration: float | None = None) -> None:
-        """Run to absolute time ``until`` or for ``duration`` more seconds."""
+        """Run to absolute time ``until`` or for ``duration`` more seconds.
+
+        A NaN or negative ``duration`` and a NaN ``until`` are rejected
+        up front; the kernel would otherwise return without running.
+        """
         if duration is not None:
+            if not duration >= 0:  # also catches NaN
+                raise ValueError(
+                    f"run duration must be a non-negative number, got {duration!r}"
+                )
             until = self.sim.now + duration
+        elif until is not None and math.isnan(until):
+            raise ValueError("run until must be a number, got nan")
         self.sim.run(until=until)
 
     def send_data(self, src: Node, dst: IPv6Address, payload: bytes, **kw) -> int:
@@ -233,8 +243,6 @@ class ScenarioBuilder:
         self._topology: dict | None = None
         self._radio_range = 250.0
         self._loss_rate = 0.0
-        self._medium_index = "grid"
-        self._medium_vectorized = True
         self._with_dns = False
         self._dns_position: tuple[float, float] | None = None
         self._dns_preregistrations: list[tuple[str, IPv6Address]] = []
@@ -363,28 +371,6 @@ class ScenarioBuilder:
         self._loss_rate = loss_rate
         return self
 
-    def medium(
-        self, index: str | None = None, vectorized: bool | None = None
-    ) -> "ScenarioBuilder":
-        """Medium knobs: neighbor index (``"grid"`` spatial hash, the
-        default, or ``"naive"`` full scan) and the broadcast pipeline
-        (``True``, the default numpy path, or ``False`` for the scalar
-        loop).  Results are byte-identical across all four combinations;
-        campaigns sweep ``medium_index`` / ``medium_vectorized`` to
-        regression-test that claim.  ``None`` (for either knob) means
-        "leave unchanged", so ``.medium("naive")`` and
-        ``.medium(vectorized=False)`` compose in any order without
-        clobbering each other."""
-        if index is not None:
-            if index not in ("grid", "naive"):
-                raise ValueError(
-                    f"unknown medium index {index!r} (expected 'grid' or 'naive')"
-                )
-            self._medium_index = index
-        if vectorized is not None:
-            self._medium_vectorized = bool(vectorized)
-        return self
-
     def crypto(
         self,
         shared_cache: bool | None = None,
@@ -397,8 +383,7 @@ class ScenarioBuilder:
         spec key like any other NodeConfig override).  All default True;
         results are byte-identical across the whole 2x2x2 matrix --
         ``tests/test_crypto_equivalence.py`` regression-tests that claim.
-        ``None`` means "leave unchanged", same composition contract as
-        :meth:`medium`."""
+        ``None`` means "leave unchanged", so calls compose in any order."""
         overrides = {}
         if shared_cache is not None:
             overrides["crypto_shared_cache"] = bool(shared_cache)
@@ -466,8 +451,7 @@ class ScenarioBuilder:
         """
         known = {
             "seed", "topology", "radio", "config", "router",
-            "routers_by_name", "dns", "preregister", "mobility",
-            "medium_index", "medium_vectorized", "faults",
+            "routers_by_name", "dns", "preregister", "mobility", "faults",
         }
         unknown = set(spec) - known
         if unknown:
@@ -481,10 +465,6 @@ class ScenarioBuilder:
         builder.radio(
             radio_range=float(radio.get("range", 250.0)),
             loss_rate=float(radio.get("loss_rate", 0.0)),
-        )
-        builder.medium(
-            str(spec.get("medium_index", "grid")),
-            vectorized=bool(spec.get("medium_vectorized", True)),
         )
         if spec.get("config"):
             builder.config(**spec["config"])
@@ -551,10 +531,6 @@ class ScenarioBuilder:
             "radio": {"range": self._radio_range, "loss_rate": self._loss_rate},
             "router": router_name(self._router_cls),
         }
-        if self._medium_index != "grid":
-            spec["medium_index"] = self._medium_index
-        if not self._medium_vectorized:
-            spec["medium_vectorized"] = False
         if self._config_overrides:
             spec["config"] = dict(self._config_overrides)
         if self._router_cls_by_name:
@@ -584,8 +560,7 @@ class ScenarioBuilder:
         positions, area = self._resolve_topology()
         sim = Simulator(seed=self.seed)
         medium = WirelessMedium(
-            sim, radio_range=self._radio_range, loss_rate=self._loss_rate,
-            index=self._medium_index, vectorized=self._medium_vectorized,
+            sim, radio_range=self._radio_range, loss_rate=self._loss_rate
         )
         ctx = NetContext(sim=sim, medium=medium)
 

@@ -10,13 +10,25 @@ Three generators cover the experiments' needs:
   used by the DNS-heavy scenarios.
 
 All report through the scenario's MetricsCollector automatically
-(delivery accounting lives in the routing layer).
+(delivery accounting lives in the routing layer).  A packet due while
+its source is down (crashed, not yet re-bootstrapped) is not sent: it
+counts as failed and the generator keeps its schedule.
 """
 
 from __future__ import annotations
 
 from repro.core.node import Node
 from repro.ipv6.address import IPv6Address
+
+
+def _send(src: Node, dst: IPv6Address, payload: bytes, on_delivered, on_failed) -> None:
+    """``send_data`` from ``src``, or an immediate failure while it is down."""
+    if src.configured:
+        src.router.send_data(
+            dst, payload, on_delivered=on_delivered, on_failed=on_failed
+        )
+    else:
+        on_failed()
 
 
 class CBRTraffic:
@@ -47,12 +59,8 @@ class CBRTraffic:
         if self.sent >= self.count:
             return
         self.sent += 1
-        self.src.router.send_data(
-            self.dst,
-            self.payload,
-            on_delivered=self._on_delivered,
-            on_failed=self._on_failed,
-        )
+        _send(self.src, self.dst, self.payload,
+              self._on_delivered, self._on_failed)
         if self.sent < self.count:
             self.src.sim.schedule(self.interval, self._tick)
 
@@ -96,11 +104,10 @@ class PoissonTraffic:
         if self.sent >= self.count:
             return
         self.sent += 1
-        self.src.router.send_data(
-            self.dst,
-            self.payload,
-            on_delivered=lambda: setattr(self, "delivered", self.delivered + 1),
-            on_failed=lambda: setattr(self, "failed", self.failed + 1),
+        _send(
+            self.src, self.dst, self.payload,
+            lambda: setattr(self, "delivered", self.delivered + 1),
+            lambda: setattr(self, "failed", self.failed + 1),
         )
         if self.sent < self.count:
             self.src.sim.schedule(self._rng.expovariate(self.rate), self._tick)
@@ -135,12 +142,8 @@ class RequestResponse:
         if i >= self.count:
             return
         started = self.src.sim.now
-        self.src.router.send_data(
-            self.dst,
-            self.payload,
-            on_delivered=lambda: self._on_done(started),
-            on_failed=self._on_fail,
-        )
+        _send(self.src, self.dst, self.payload,
+              lambda: self._on_done(started), self._on_fail)
         self.src.sim.schedule(self.interval, self._next, i + 1)
 
     def _on_done(self, started: float) -> None:

@@ -106,8 +106,9 @@ class SimRNG:
         consumes 64 bits per double either way, so a consumer may switch
         between scalar and batched draws (or mix batch sizes) without
         perturbing the stream.  This is the contract that lets the
-        medium's vectorised broadcast path reproduce the scalar path's
-        loss draws byte-for-byte (pinned by tests/test_sim_rng.py).
+        medium's batched broadcast pipeline reproduce the per-receiver
+        loss draws of the scalar oracle in ``tests/phy_oracles.py``
+        byte-for-byte (pinned by tests/test_sim_rng.py).
         """
         if n < 0:
             raise ValueError("n must be non-negative")

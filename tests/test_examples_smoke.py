@@ -6,6 +6,7 @@ workloads.  This keeps the documented entry points from silently
 rotting as the stack underneath them evolves.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -47,3 +48,37 @@ def test_example_runs_clean(script):
         f"stdout:\n{result.stdout}\nstderr:\n{result.stderr}"
     )
     assert result.stdout.strip(), f"{script} produced no output"
+
+
+def load_example(script: str):
+    spec = importlib.util.spec_from_file_location(
+        script[:-3], os.path.join(EXAMPLES_DIR, script)
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_campaign_sweep_exits_nonzero_when_runs_fail(monkeypatch):
+    """An axis over a key the scenario spec rejects makes every run
+    error; the example must report that through its exit status."""
+    module = load_example("campaign_sweep.py")
+    spec = module.build_spec(fast=True)
+    spec.axes["medium_index"] = ["grid"]
+    monkeypatch.setenv("REPRO_EXAMPLE_FAST", "1")
+    monkeypatch.setattr(module, "build_spec", lambda fast=False: spec)
+    assert module.main() == 1
+
+
+def test_sharded_campaign_exits_nonzero_when_runs_fail(monkeypatch):
+    module = load_example("sharded_campaign.py")
+    real = module.campaign_spec
+
+    def failing_spec(fast):
+        data = real(fast)
+        data["axes"]["medium_index"] = ["grid"]
+        return data
+
+    monkeypatch.setenv("REPRO_EXAMPLE_FAST", "1")
+    monkeypatch.setattr(module, "campaign_spec", failing_spec)
+    assert module.main() == 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import campaign_artifacts, chain_scenario, streaming_campaign_dict
-from repro.campaign.runner import run_campaign
+from repro.campaign.runner import execute_run, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.faults import FaultInjector, FaultPlan
 from repro.scenarios.builder import ScenarioBuilder
@@ -229,3 +229,41 @@ def test_fault_campaigns_are_byte_identical_across_execution(
     for record in ref_records:
         if not record["params"]["faults"]["events"]:
             assert "faults_injected" not in record["summary"]
+
+
+# -- crashed traffic sources -------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["cbr", "poisson", "request_response"])
+def test_crashed_traffic_source_fails_its_packets_not_the_run(kind):
+    """A flow whose source crashes (and stays down) keeps ticking: each
+    packet due while the source is down counts as failed instead of
+    killing the run with "cannot send before bootstrap"."""
+    data = streaming_campaign_dict(
+        name="crashed-source", replicates=1, duration=8.0, axes={},
+        workload={"kind": kind, "pairs": [[0, 2]], "interval": 0.5,
+                  "count": 10} if kind != "poisson" else
+                 {"kind": kind, "pairs": [[0, 2]], "rate": 4.0, "count": 10},
+    )
+    data["base"]["faults"] = {"events": [
+        {"kind": "crash", "at": 1.0, "node": 0, "recover_after": 60.0},
+    ]}
+    record = execute_run(CampaignSpec.from_dict(data).expand()[0].to_dict())
+    assert record["status"] == "ok", record.get("error")
+    summary = record["summary"]
+    assert summary["fault_crashes"] == 1
+    assert summary["data_sent"] < 10  # the down source sent nothing
+
+
+def test_crashed_cbr_source_counts_skipped_packets_as_failed():
+    from repro.scenarios.workloads import CBRTraffic
+
+    scenario = chain_scenario(3).faults({"events": [
+        {"kind": "crash", "at": 1.0, "node": 0, "recover_after": 60.0},
+    ]}).build()
+    scenario.bootstrap_all()
+    src, dst = scenario.hosts[0], scenario.hosts[2]
+    flow = CBRTraffic(src, dst.ip, interval=0.5, count=10)
+    scenario.run(duration=8.0)
+    assert flow.sent == 10
+    assert flow.done  # every tick ended delivered or failed
+    assert flow.failed >= 8  # ticks at t >= 1.0 found the source down

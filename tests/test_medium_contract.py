@@ -7,20 +7,28 @@ a receiver gets a frame iff it was attached and enabled **at send time**
 while a batched broadcast is in flight must not deliver to it, and a
 node disabled at send time cannot resurrect the copy by re-enabling
 before the would-be delivery instant.
+
+Each case runs on the production pipeline (``batched=True``) and on the
+scalar-loop oracle (``batched=False``) the equivalence suites compare
+it against: an oracle that broke the contract would make those suites
+vouch for the wrong behaviour.
 """
 
 import pytest
 
+import phy_oracles
 from repro.ipv6.address import IPv6Address
-from repro.phy.medium import BROADCAST_LINK, Frame, WirelessMedium
+from repro.phy.medium import BROADCAST_LINK, Frame
 from repro.sim.kernel import Simulator
 
 SRC_IP = IPv6Address("fec0::aa")
 
 
-def make_medium(seed=1, **kw):
+def make_medium(seed=1, batched=True):
     sim = Simulator(seed=seed)
-    return sim, WirelessMedium(sim, radio_range=100.0, **kw)
+    return sim, phy_oracles.make_medium(
+        sim, scalar_broadcast=not batched, radio_range=100.0
+    )
 
 
 def bcast(medium, handle, payload="hi", size=100):
@@ -29,12 +37,12 @@ def bcast(medium, handle, payload="hi", size=100):
     )
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_disabled_at_send_is_not_a_candidate_and_draws_no_loss(vectorized):
+@pytest.mark.parametrize("batched", [True, False])
+def test_disabled_at_send_is_not_a_candidate_and_draws_no_loss(batched):
     """A radio disabled at send time consumes no phy/loss draw, on both
-    pipelines -- so toggling one bystander never shifts the loss stream
+    loops -- so toggling one bystander never shifts the loss stream
     seen by everyone else."""
-    sim, medium = make_medium(vectorized=vectorized)
+    sim, medium = make_medium(batched=batched)
     got = []
     tx = medium.attach((0, 0), lambda f: None)
     medium.attach((50, 0), got.append)
@@ -47,16 +55,16 @@ def test_disabled_at_send_is_not_a_candidate_and_draws_no_loss(vectorized):
     # exactly one loss draw was consumed (the awake receiver's): the next
     # value from the medium's stream matches a reference stream advanced
     # by exactly one draw (random_batch(1) is stream-identical to one
-    # random(), so this holds on both pipelines)
+    # random(), so this holds on both loops)
     ref = Simulator(seed=1).rng("phy/loss")
     ref.random()
     assert medium._rng.random() == ref.random()
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_disable_while_in_flight_eats_the_copy(vectorized):
+@pytest.mark.parametrize("batched", [True, False])
+def test_disable_while_in_flight_eats_the_copy(batched):
     """Enabled at send, disabled before the delivery instant: no delivery."""
-    sim, medium = make_medium(vectorized=vectorized)
+    sim, medium = make_medium(batched=batched)
     got = []
     tx = medium.attach((0, 0), lambda f: None)
     rx = medium.attach((50, 0), got.append)
@@ -67,9 +75,9 @@ def test_disable_while_in_flight_eats_the_copy(vectorized):
     assert got == []
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_detach_while_in_flight_eats_the_copy(vectorized):
-    sim, medium = make_medium(vectorized=vectorized)
+@pytest.mark.parametrize("batched", [True, False])
+def test_detach_while_in_flight_eats_the_copy(batched):
+    sim, medium = make_medium(batched=batched)
     got = []
     tx = medium.attach((0, 0), lambda f: None)
     rx = medium.attach((50, 0), got.append)
@@ -79,14 +87,14 @@ def test_detach_while_in_flight_eats_the_copy(vectorized):
     assert got == []
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("batched", [True, False])
 def test_reenabling_before_delivery_time_cannot_resurrect_the_frame(
-    vectorized,
+    batched,
 ):
     """Disabled at send time means excluded at send time: re-enabling a
     split second later (still before the would-be delivery) must not
     conjure a copy that was never scheduled."""
-    sim, medium = make_medium(vectorized=vectorized)
+    sim, medium = make_medium(batched=batched)
     got = []
     tx = medium.attach((0, 0), lambda f: None)
     rx = medium.attach((50, 0), got.append)
@@ -101,11 +109,11 @@ def test_reenabling_before_delivery_time_cannot_resurrect_the_frame(
     assert len(got) == 1
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_sleep_then_wake_while_in_flight_still_delivers(vectorized):
+@pytest.mark.parametrize("batched", [True, False])
+def test_sleep_then_wake_while_in_flight_still_delivers(batched):
     """Enabled at send AND enabled at delivery is the whole contract:
     a nap strictly between those instants is invisible."""
-    sim, medium = make_medium(vectorized=vectorized)
+    sim, medium = make_medium(batched=batched)
     got = []
     tx = medium.attach((0, 0), lambda f: None)
     rx = medium.attach((50, 0), got.append)
@@ -116,15 +124,15 @@ def test_sleep_then_wake_while_in_flight_still_delivers(vectorized):
     assert len(got) == 1
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("batched", [True, False])
 def test_receiver_disabling_a_later_receiver_of_the_same_broadcast(
-    vectorized,
+    batched,
 ):
     """A delivery handler that powers down a *later* receiver of the same
     batched broadcast (e.g. a crash fault firing from a delivery) must
     prevent that later delivery: both copies were scheduled at send
     time, but the second receiver is disabled at its delivery instant."""
-    sim, medium = make_medium(vectorized=vectorized)
+    sim, medium = make_medium(batched=batched)
     got_far = []
     tx = medium.attach((0, 0), lambda f: None)
 

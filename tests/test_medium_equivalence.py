@@ -1,16 +1,18 @@
-"""Grid-index / naive-scan equivalence: byte-identical runs.
+"""Spatial-hash grid vs the naive full-scan oracle: byte-identical runs.
 
-The spatial-hash fast path must not change *anything* observable: same
-seed + same scenario must yield identical metrics summaries, identical
-traces, and identical medium counters whichever index computed receiver
-sets.  These tests pin that claim across static and random-waypoint
-topologies, with loss, churn, and promiscuous (monitor-mode) radios.
+The grid must not change *anything* observable: same seed + same
+scenario must yield identical metrics summaries, identical traces, and
+identical medium counters whether the grid or the naive oracle
+(``phy_oracles.NaiveScanIndex``) computed receiver sets.  These tests
+pin that claim across static and random-waypoint topologies, with loss,
+churn, and promiscuous (monitor-mode) radios.
 """
 
 import pytest
 
+from phy_oracles import fingerprint, installed, make_medium
 from repro.ipv6.address import IPv6Address
-from repro.phy.medium import BROADCAST_LINK, Frame, WirelessMedium
+from repro.phy.medium import Frame
 from repro.phy.mobility import ChurnModel
 from repro.scenarios import ScenarioBuilder
 from repro.sim.kernel import Simulator
@@ -18,32 +20,15 @@ from repro.sim.kernel import Simulator
 SRC_IP = IPv6Address("fec0::aa")
 
 
-def fingerprint(scenario) -> dict:
-    """Everything observable about a finished run."""
-    return {
-        "summary": scenario.metrics.summary(),
-        "trace": [
-            (e.time, e.node, e.kind, e.msg_type, e.detail)
-            for e in scenario.trace.events
-        ],
-        "medium": (
-            scenario.medium.total_frames,
-            scenario.medium.total_bytes,
-            scenario.medium.dropped_frames,
-        ),
-        "events": scenario.sim.events_executed,
-    }
-
-
 def run_static(index: str) -> dict:
-    sc = (
-        ScenarioBuilder(seed=42)
-        .grid(12, spacing=180.0)
-        .radio(250.0, loss_rate=0.1)
-        .with_dns()
-        .medium(index)
-        .build()
-    )
+    with installed(naive_index=index == "naive"):
+        sc = (
+            ScenarioBuilder(seed=42)
+            .grid(12, spacing=180.0)
+            .radio(250.0, loss_rate=0.1)
+            .with_dns()
+            .build()
+        )
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[-1]
     for k in range(5):
@@ -53,15 +38,15 @@ def run_static(index: str) -> dict:
 
 
 def run_mobile_with_churn(index: str) -> dict:
-    sc = (
-        ScenarioBuilder(seed=7)
-        .uniform(10, (700.0, 700.0))
-        .radio(250.0, loss_rate=0.05)
-        .with_dns()
-        .medium(index)
-        .random_waypoint(speed=(2.0, 8.0), pause=2.0)
-        .build()
-    )
+    with installed(naive_index=index == "naive"):
+        sc = (
+            ScenarioBuilder(seed=7)
+            .uniform(10, (700.0, 700.0))
+            .radio(250.0, loss_rate=0.05)
+            .with_dns()
+            .random_waypoint(speed=(2.0, 8.0), pause=2.0)
+            .build()
+        )
     churn = ChurnModel(
         sc.sim, sc.medium, [h.link_id for h in sc.hosts],
         interval=5.0, min_present=4,
@@ -96,8 +81,8 @@ def test_unicast_with_promiscuous_snoops_is_byte_identical():
 
     def run(index):
         sim = Simulator(seed=11)
-        medium = WirelessMedium(
-            sim, radio_range=100.0, loss_rate=0.3, index=index
+        medium = make_medium(
+            sim, naive_index=index == "naive", radio_range=100.0, loss_rate=0.3
         )
         log = []
         radios = [
@@ -120,7 +105,7 @@ def test_unicast_with_promiscuous_snoops_is_byte_identical():
 @pytest.mark.parametrize("index", ["grid", "naive"])
 def test_neighbors_matches_brute_force(index):
     sim = Simulator(seed=3)
-    medium = WirelessMedium(sim, radio_range=120.0, index=index)
+    medium = make_medium(sim, naive_index=index == "naive", radio_range=120.0)
     rng = sim.rng("test/placement")
     handles = [
         medium.attach((rng.uniform(0, 500), rng.uniform(0, 500)), lambda f: None)

@@ -160,8 +160,19 @@ def test_constructor_validation():
         WirelessMedium(sim, radio_range=0)
     with pytest.raises(ValueError):
         WirelessMedium(sim, loss_rate=1.0)
-    with pytest.raises(ValueError):
-        WirelessMedium(sim, index="octree")
+    # the medium has one neighbor index and one broadcast pipeline
+    with pytest.raises(TypeError):
+        WirelessMedium(sim, index="naive")
+    with pytest.raises(TypeError):
+        WirelessMedium(sim, vectorized=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_radio_range_must_be_finite_and_positive(bad):
+    """NaN passes a ``<= 0`` check and used to die later, deep in the
+    grid, with "cannot convert float NaN to integer"."""
+    with pytest.raises(ValueError, match="radio_range must be finite"):
+        WirelessMedium(Simulator(), radio_range=bad)
 
 
 def test_set_position_and_enabled_on_detached_link_are_noops():

@@ -66,31 +66,15 @@ def test_every_router_round_trips(cls, name):
     assert all(type(h.router) is cls for h in rebuilt.hosts)
 
 
-def test_medium_index_round_trips():
-    builder = ScenarioBuilder(seed=5).chain(3).medium("naive")
-    spec = _assert_round_trip(builder)
-    assert spec["medium_index"] == "naive"
-    assert ScenarioBuilder.from_spec(spec).build().medium.index_kind == "naive"
-
-    # the default is sparse: grid-indexed specs carry no key and old
-    # (pre-fast-path) specs keep parsing
-    default = ScenarioBuilder(seed=5).chain(3)
-    assert "medium_index" not in default.to_spec()
-    assert default.build().medium.index_kind == "grid"
-    with pytest.raises(ValueError):
-        ScenarioBuilder(seed=5).medium("octree")
-
-
-def test_medium_knobs_compose_in_either_order():
-    """Setting one medium knob must not clobber the other, whichever
-    order the calls arrive in."""
-    for builder in (
-        ScenarioBuilder(seed=5).chain(3).medium(vectorized=False).medium("naive"),
-        ScenarioBuilder(seed=5).chain(3).medium("naive").medium(vectorized=False),
-    ):
-        spec = builder.to_spec()
-        assert spec["medium_index"] == "naive"
-        assert spec["medium_vectorized"] is False
+def test_retired_medium_spec_keys_are_rejected():
+    """The medium has one index and one broadcast pipeline, so the old
+    ``medium_index`` / ``medium_vectorized`` selectors are unknown keys:
+    a spec that still carries one fails loudly instead of silently
+    running something other than what it names."""
+    spec = ScenarioBuilder(seed=5).chain(3).to_spec()
+    for key, value in (("medium_index", "naive"), ("medium_vectorized", False)):
+        with pytest.raises(ValueError, match=key):
+            ScenarioBuilder.from_spec({**spec, key: value})
 
 
 def test_uniform_density_scales_area_with_n():
@@ -208,3 +192,17 @@ def test_same_spec_same_seed_builds_identical_scenario():
     a = ScenarioBuilder.from_spec(spec)
     b = ScenarioBuilder.from_spec(spec)
     assert _positions_of(a) == _positions_of(b)
+
+
+@pytest.mark.parametrize("kw", [
+    {"duration": float("nan")},
+    {"duration": -1.0},
+    {"until": float("nan")},
+])
+def test_run_rejects_nan_and_negative_times(kw):
+    """These used to return silently without simulating anything."""
+    sc = ScenarioBuilder(seed=1).chain(2).build()
+    with pytest.raises(ValueError, match="^run (duration|until) must be"):
+        sc.run(**kw)
+    sc.run(duration=0.0)  # zero is a valid (empty) run
+    assert sc.sim.now == 0.0

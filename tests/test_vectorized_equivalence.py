@@ -1,47 +1,34 @@
-"""Scalar / vectorised broadcast-pipeline equivalence: byte-identical runs.
+"""Batched broadcast pipeline vs the scalar-loop oracle: byte-identical runs.
 
-The vectorised pipeline (cached candidate blocks -> one numpy distance
+The production pipeline (cached candidate blocks -> one numpy distance
 computation -> one batched loss draw -> batch-scheduled deliveries) must
-not change *anything* observable versus the scalar loop it replaces:
-same seed + same scenario must yield identical metrics summaries,
-identical traces, and identical medium counters whichever path ran --
-and whichever neighbor index fed it.  These tests mirror
-tests/test_medium_equivalence.py across the full 2x2 matrix
-(``medium_index`` x ``vectorized``) under loss, random-waypoint
-mobility, churn, and promiscuous (monitor-mode) radios.
+not change *anything* observable versus the per-receiver scalar loop
+(``phy_oracles.ScalarBroadcastMedium``): same seed + same scenario must
+yield identical metrics summaries, identical traces, and identical
+medium counters whichever loop ran -- and whichever neighbor index fed
+it.  These tests run production against every oracle combination
+(naive index x scalar loop) under loss, random-waypoint mobility,
+churn, and promiscuous (monitor-mode) radios.  Fault windows, where the
+fault hook runs inside the pipeline, are pinned separately in
+tests/test_fault_hook_equivalence.py.
 """
 
 import itertools
 
 import pytest
 
+from phy_oracles import fingerprint, installed, make_medium
 from repro.ipv6.address import IPv6Address
-from repro.phy.medium import BROADCAST_LINK, Frame, WirelessMedium
+from repro.phy.medium import BROADCAST_LINK, Frame
 from repro.phy.mobility import ChurnModel
 from repro.scenarios import ScenarioBuilder
 from repro.sim.kernel import Simulator
 
 SRC_IP = IPv6Address("fec0::aa")
 
-#: Every (index, vectorized) combination; the first is the reference.
-COMBOS = list(itertools.product(("grid", "naive"), (True, False)))
-
-
-def fingerprint(scenario) -> dict:
-    """Everything observable about a finished run."""
-    return {
-        "summary": scenario.metrics.summary(),
-        "trace": [
-            (e.time, e.node, e.kind, e.msg_type, e.detail)
-            for e in scenario.trace.events
-        ],
-        "medium": (
-            scenario.medium.total_frames,
-            scenario.medium.total_bytes,
-            scenario.medium.dropped_frames,
-        ),
-        "events": scenario.sim.events_executed,
-    }
+#: Every (naive_index, scalar_broadcast) oracle combination; the first,
+#: (False, False), is production and the reference.
+COMBOS = list(itertools.product((False, True), (False, True)))
 
 
 def assert_all_identical(fingerprints: dict) -> None:
@@ -53,15 +40,15 @@ def assert_all_identical(fingerprints: dict) -> None:
             )
 
 
-def run_static(index: str, vectorized: bool) -> dict:
-    sc = (
-        ScenarioBuilder(seed=42)
-        .grid(12, spacing=180.0)
-        .radio(250.0, loss_rate=0.1)
-        .with_dns()
-        .medium(index, vectorized=vectorized)
-        .build()
-    )
+def run_static(naive_index: bool, scalar_broadcast: bool) -> dict:
+    with installed(naive_index, scalar_broadcast):
+        sc = (
+            ScenarioBuilder(seed=42)
+            .grid(12, spacing=180.0)
+            .radio(250.0, loss_rate=0.1)
+            .with_dns()
+            .build()
+        )
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[-1]
     for k in range(5):
@@ -70,16 +57,16 @@ def run_static(index: str, vectorized: bool) -> dict:
     return fingerprint(sc)
 
 
-def run_mobile_with_churn(index: str, vectorized: bool) -> dict:
-    sc = (
-        ScenarioBuilder(seed=7)
-        .uniform(10, (700.0, 700.0))
-        .radio(250.0, loss_rate=0.05)
-        .with_dns()
-        .medium(index, vectorized=vectorized)
-        .random_waypoint(speed=(2.0, 8.0), pause=2.0)
-        .build()
-    )
+def run_mobile_with_churn(naive_index: bool, scalar_broadcast: bool) -> dict:
+    with installed(naive_index, scalar_broadcast):
+        sc = (
+            ScenarioBuilder(seed=7)
+            .uniform(10, (700.0, 700.0))
+            .radio(250.0, loss_rate=0.05)
+            .with_dns()
+            .random_waypoint(speed=(2.0, 8.0), pause=2.0)
+            .build()
+        )
     churn = ChurnModel(
         sc.sim, sc.medium, [h.link_id for h in sc.hosts],
         interval=5.0, min_present=4,
@@ -104,13 +91,12 @@ def test_mobile_churn_scenario_is_byte_identical():
 def test_broadcasts_with_promiscuous_snoops_are_byte_identical():
     """Monitor-mode radios draw loss per overheard unicast; interleaving
     unicasts with floods must keep the single ``phy/loss`` stream -- and
-    so every delivery time -- identical across all four paths."""
+    so every delivery time -- identical across all four combinations."""
 
-    def run(index, vectorized):
+    def run(naive_index, scalar_broadcast):
         sim = Simulator(seed=11)
-        medium = WirelessMedium(
-            sim, radio_range=100.0, loss_rate=0.3,
-            index=index, vectorized=vectorized,
+        medium = make_medium(
+            sim, naive_index, scalar_broadcast, radio_range=100.0, loss_rate=0.3
         )
         log = []
         radios = [
@@ -142,7 +128,7 @@ def test_mobility_invalidates_candidate_cache(index):
     position -- the per-sender range cache may never serve stale
     distances or stale membership."""
     sim = Simulator(seed=5)
-    medium = WirelessMedium(sim, radio_range=100.0, index=index, vectorized=True)
+    medium = make_medium(sim, naive_index=index == "naive", radio_range=100.0)
     heard = []
     a = medium.attach((0.0, 0.0), lambda f: None)
     b = medium.attach((90.0, 0.0), lambda f: heard.append(sim.now))
@@ -165,18 +151,3 @@ def test_mobility_invalidates_candidate_cache(index):
     sim.run()
     assert len(heard) == 2
 
-
-def test_medium_vectorized_spec_round_trips():
-    builder = ScenarioBuilder(seed=5).chain(3).medium("naive", vectorized=False)
-    spec = builder.to_spec()
-    assert spec["medium_index"] == "naive"
-    assert spec["medium_vectorized"] is False
-    rebuilt = ScenarioBuilder.from_spec(spec)
-    assert rebuilt._medium_index == "naive"
-    assert rebuilt._medium_vectorized is False
-    # the default (vectorized) serializes compactly: no key at all
-    default = ScenarioBuilder(seed=5).chain(3)
-    assert "medium_vectorized" not in default.to_spec()
-    sc = ScenarioBuilder.from_spec(spec).build()
-    assert sc.medium.vectorized is False
-    assert ScenarioBuilder(seed=1).chain(3).build().medium.vectorized is True
