@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.phy.neighbor_index import SpatialHashGrid
 from repro.routing import EndpointOnlyRouter, PlainDSRRouter, SecureDSRRouter
 from repro.scenarios import ScenarioBuilder
 from repro.scenarios.builder import router_class, router_name
@@ -66,15 +67,35 @@ def test_every_router_round_trips(cls, name):
     assert all(type(h.router) is cls for h in rebuilt.hosts)
 
 
-def test_retired_medium_spec_keys_are_rejected():
-    """The medium has one index and one broadcast pipeline, so the old
-    ``medium_index`` / ``medium_vectorized`` selectors are unknown keys:
-    a spec that still carries one fails loudly instead of silently
-    running something other than what it names."""
+def test_medium_index_round_trips():
+    """The medium has one neighbor index (the spatial hash grid), so a
+    spec round-trips without a ``medium_index`` key and a spec that still
+    carries one fails loudly instead of silently running something other
+    than what it names."""
+    builder = ScenarioBuilder(seed=5).chain(3)
+    spec = _assert_round_trip(builder)
+    assert "medium_index" not in spec
+    medium = ScenarioBuilder.from_spec(spec).build().medium
+    assert type(medium._index) is SpatialHashGrid
+    for value in ("naive", "grid"):
+        with pytest.raises(ValueError, match="medium_index"):
+            ScenarioBuilder.from_spec({**spec, "medium_index": value})
+
+
+def test_medium_knobs_compose_in_either_order():
+    """Both medium knobs are retired: the builder has no ``medium()``
+    setter, and a spec carrying both old keys is rejected naming both,
+    whichever order they arrive in."""
+    assert not hasattr(ScenarioBuilder, "medium")
     spec = ScenarioBuilder(seed=5).chain(3).to_spec()
-    for key, value in (("medium_index", "naive"), ("medium_vectorized", False)):
-        with pytest.raises(ValueError, match=key):
-            ScenarioBuilder.from_spec({**spec, key: value})
+    for extra in (
+        {"medium_vectorized": False, "medium_index": "naive"},
+        {"medium_index": "naive", "medium_vectorized": False},
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioBuilder.from_spec({**spec, **extra})
+        assert "medium_index" in str(excinfo.value)
+        assert "medium_vectorized" in str(excinfo.value)
 
 
 def test_uniform_density_scales_area_with_n():

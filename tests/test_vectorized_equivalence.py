@@ -151,3 +151,18 @@ def test_mobility_invalidates_candidate_cache(index):
     sim.run()
     assert len(heard) == 2
 
+
+
+def test_medium_vectorized_spec_round_trips():
+    """The batched pipeline is the only broadcast path: a spec
+    round-trips without a ``medium_vectorized`` key, the built medium
+    has no switch to turn the pipeline off, and a spec that still
+    carries the key is rejected rather than silently ignored."""
+    spec = ScenarioBuilder(seed=5).chain(3).to_spec()
+    assert "medium_vectorized" not in spec
+    rebuilt = ScenarioBuilder.from_spec(spec)
+    assert rebuilt.to_spec() == spec
+    assert not hasattr(rebuilt.build().medium, "vectorized")
+    for value in (False, True):
+        with pytest.raises(ValueError, match="medium_vectorized"):
+            ScenarioBuilder.from_spec({**spec, "medium_vectorized": value})
