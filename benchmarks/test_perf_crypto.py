@@ -7,22 +7,29 @@ expected cost asymmetries: RSA sign >> RSA verify (small public
 exponent), and simsig is orders of magnitude cheaper than both -- which
 is why large sweeps run on simsig while security tests run on RSA.
 
-It also establishes the PR 7 **crypto fast path** headline and writes
-the machine-readable ``BENCH_crypto.json`` scorecard consumed across
-PRs: an N = 1000 RSA bootstrap (the crypto-bound macro-workload) run
-baseline (all fast-path flags off), fast-cold (flags on, empty keypair
-pool -- the first campaign replicate) and fast-warm (flags on, pooled
-keypairs -- every subsequent replicate), asserting **>= 3x** warm
-speedup with byte-identical metrics summaries.  Equivalence across the
-full 2x2x2 flag matrix, including under active adversaries, is pinned
-by tests/test_crypto_equivalence.py; this experiment establishes the
-speed.
+It also times the production crypto path against the all-oracle corner
+of ``tests/crypto_oracles.py`` (no shared verify cache, sequential
+verification, fresh keygen) and writes the machine-readable
+``BENCH_crypto.json`` scorecard consumed across PRs: an N = 1000 RSA
+bootstrap (the crypto-bound macro-workload) run baseline (the oracles),
+fast-cold (production, empty keypair pool -- the first campaign
+replicate) and fast-warm (production, pooled keypairs -- every
+subsequent replicate), asserting **>= 3x** warm speedup with
+byte-identical metrics summaries.  The pool is the whole win; the shared
+cache and batched verification are within noise.  Equivalence with every
+oracle corner, including under active adversaries, is pinned by
+tests/test_crypto_equivalence.py; this experiment establishes the speed.
 """
 
+import os
+import sys
 import time
 
 import pytest
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+
+from crypto_oracles import installed  # noqa: E402  (tests/ is not a package)
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import DEFAULT_KEYPAIR_POOL
 from repro.scenarios import ScenarioBuilder
@@ -130,31 +137,31 @@ def test_simsig_much_cheaper_than_rsa(rsa_keys, sim_keys):
     assert rsa_t > 10 * sim_t
 
 
-# -- PR 7: crypto fast path -----------------------------------------------
+# -- production crypto path vs its oracles ---------------------------------
+
+def _oracles(fast: bool):
+    """Production (``fast``) or the all-oracle corner."""
+    return installed(shared_cache=fast, batch_verify=fast, keypair_pool=fast)
+
 
 def _macro_run(fast: bool) -> tuple[dict, float, float]:
     """Build + bootstrap the N=1000 RSA scenario; returns
     ``(summary, build_seconds, bootstrap_seconds)``."""
-    t0 = time.perf_counter()
-    sc = (
-        ScenarioBuilder(seed=MACRO_SEED)
-        .uniform_density(MACRO_N, density=MACRO_DENSITY)
-        .radio(250.0)
-        .config(
-            crypto_backend="rsa",
-            hop_limit=3,
-            crypto_shared_cache=fast,
-            crypto_batch_verify=fast,
-            crypto_keypair_pool=fast,
+    with _oracles(fast):
+        t0 = time.perf_counter()
+        sc = (
+            ScenarioBuilder(seed=MACRO_SEED)
+            .uniform_density(MACRO_N, density=MACRO_DENSITY)
+            .radio(250.0)
+            .config(crypto_backend="rsa", hop_limit=3)
+            .with_dns((0.0, 0.0))
+            .build()
         )
-        .with_dns((0.0, 0.0))
-        .build()
-    )
-    sc.ctx.trace.enabled = False  # measure crypto, not trace formatting
-    build_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sc.bootstrap_all(stagger=0.02)
-    boot_s = time.perf_counter() - t0
+        sc.ctx.trace.enabled = False  # measure crypto, not trace formatting
+        build_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        sc.bootstrap_all(stagger=0.02)
+        boot_s = time.perf_counter() - t0
     assert sc.configured_count() == MACRO_N
     return sc.metrics.summary(), build_s, boot_s
 
@@ -187,7 +194,7 @@ def test_macro_bootstrap_speedup_and_equivalence():
         f"P3+: crypto fast path, N={MACRO_N} RSA bootstrap",
         ["run", "build (s)", "bootstrap (s)", "total (s)"],
         [
-            ["baseline (flags off)", f"{base_build:.2f}", f"{base_boot:.2f}",
+            ["baseline (oracles)", f"{base_build:.2f}", f"{base_boot:.2f}",
              f"{baseline_s:.2f}"],
             ["fast cold (empty pool)", f"{cold_build:.2f}", f"{cold_boot:.2f}",
              f"{cold_build + cold_boot:.2f}"],
@@ -259,24 +266,20 @@ def test_shared_cache_collapses_repeated_verifies():
     each distinct triple once."""
 
     def discovery_run(fast: bool):
-        sc = (
-            ScenarioBuilder(seed=77)
-            .grid(12, spacing=180.0)
-            .radio(250.0)
-            .with_dns()
-            .config(
-                verify_at_intermediate=True,
-                crypto_shared_cache=fast,
-                crypto_batch_verify=fast,
-                crypto_keypair_pool=fast,
+        with _oracles(fast):
+            sc = (
+                ScenarioBuilder(seed=77)
+                .grid(12, spacing=180.0)
+                .radio(250.0)
+                .with_dns()
+                .config(verify_at_intermediate=True)
+                .build()
             )
-            .build()
-        )
-        sc.bootstrap_all()
-        a, z = sc.hosts[0], sc.hosts[-1]
-        for k in range(5):
-            sc.sim.schedule(k * 1.0, sc.send_data, a, z.ip, b"x" * 32)
-        sc.run(duration=20.0)
+            sc.bootstrap_all()
+            a, z = sc.hosts[0], sc.hosts[-1]
+            for k in range(5):
+                sc.sim.schedule(k * 1.0, sc.send_data, a, z.ip, b"x" * 32)
+            sc.run(duration=20.0)
         backend = sc.hosts[0].backend
         return sc.metrics.summary(), backend.verifies, sc.ctx.verify_cache
 

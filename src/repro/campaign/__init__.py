@@ -9,15 +9,13 @@ first-class artifact:
   knobs, replicate counts, workloads, adversary mixes, batch size);
 * :class:`~repro.campaign.runner.CampaignRunner` (and the
   :func:`~repro.campaign.runner.run_campaign` wrapper) executes the
-  expanded run matrix through a pluggable executor backend (the default
-  ``"local"`` multiprocessing pool, or ``"inline"``) -- batching runs
-  per worker task to amortise dispatch overhead, streaming completed
-  records to ``results.jsonl`` as they arrive, and resuming an
-  interrupted campaign from that checkpoint -- with per-run
-  deterministic seeds (:func:`repro.sim.rng.spawn_seed`) and
-  timeout/failure isolation.  Worker count, batch size, executor
-  backend, resume interruption points, and shard splits never change
-  results;
+  expanded run matrix in-process (one worker) or on a multiprocessing
+  pool (more) -- batching runs per worker task to amortise dispatch
+  overhead, streaming completed records to ``results.jsonl`` as they
+  arrive, and resuming an interrupted campaign from that checkpoint --
+  with per-run deterministic seeds (:func:`repro.sim.rng.spawn_seed`)
+  and timeout/failure isolation.  Worker count, batch size, resume
+  interruption points, and shard splits never change results;
 * :mod:`~repro.campaign.shard` partitions the matrix deterministically
   across hosts (``campaign run --shard i/N``), each shard writing a
   crash-safe checkpoint with a provenance manifest, and
@@ -54,12 +52,10 @@ from repro.campaign.merge import (
     validate_merge_conflicts_file,
 )
 from repro.campaign.runner import (
-    EXECUTOR_REGISTRY,
     CampaignRunner,
     InlineExecutor,
     LocalExecutor,
     auto_batch_size,
-    create_executor,
     execute_batch,
     execute_run,
     run_campaign,
@@ -77,7 +73,6 @@ from repro.campaign.spec import CampaignSpec, RunSpec
 __all__ = [
     "CampaignRunner",
     "CampaignSpec",
-    "EXECUTOR_REGISTRY",
     "InlineExecutor",
     "LocalExecutor",
     "MergeError",
@@ -88,7 +83,6 @@ __all__ = [
     "auto_batch_size",
     "compare",
     "comparison_text",
-    "create_executor",
     "discover_shard_dirs",
     "execute_batch",
     "execute_run",

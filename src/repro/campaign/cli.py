@@ -53,7 +53,6 @@ from repro.campaign.aggregate import (
 from repro.campaign.baseline import compare, comparison_text
 from repro.campaign.merge import discover_shard_dirs, merge_shards
 from repro.campaign.runner import (
-    EXECUTOR_REGISTRY,
     CampaignInterrupted,
     CampaignRunner,
 )
@@ -124,7 +123,6 @@ def _make_runner(args) -> CampaignRunner:
         echo=None if args.quiet else print,
         progress=args.progress,
         telemetry=args.telemetry,
-        executor=args.executor,
     )
 
 
@@ -272,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execute only shard i of an N-way split of the "
                             "run matrix (checkpoint goes to "
                             "<out>/shard-i-of-N/; fuse with 'merge')")
-        p.add_argument("--executor", choices=sorted(EXECUTOR_REGISTRY),
-                       default="local",
-                       help="execution backend (default local: a "
-                            "multiprocessing pool on this host)")
         p.add_argument("--out", default=None,
                        help="output directory (default campaigns/<name>)")
         p.add_argument("--baseline", default=None,

@@ -17,14 +17,13 @@ the ``campaign resume`` CLI verb) reads that checkpoint back, discards
 a torn tail, re-runs only the missing indices, and finalizes output
 byte-identical to an uninterrupted campaign.
 
-*Where* batches execute is pluggable: the runner dispatches through an
-executor backend (:data:`EXECUTOR_REGISTRY` -- the multiprocessing
-pool is the ``"local"`` backend, ``"inline"`` runs everything in the
-coordinating process) and, with a shard assignment
-(``campaign run --shard i/N``), executes only its slice of the matrix
-into a crash-safe ``shard-i-of-N/`` checkpoint that ``campaign merge``
-(:mod:`repro.campaign.merge`) later fuses -- so a campaign survives
-not just a dead worker but a dead host.
+*Where* batches execute follows ``workers``: one worker runs them in
+the coordinating process (:class:`InlineExecutor`), more fan them out
+over a multiprocessing pool (:class:`LocalExecutor`).  With a shard
+assignment (``campaign run --shard i/N``) the runner executes only its
+slice of the matrix into a crash-safe ``shard-i-of-N/`` checkpoint that
+``campaign merge`` (:mod:`repro.campaign.merge`) later fuses -- so a
+campaign survives not just a dead worker but a dead host.
 
 Isolation guarantees:
 
@@ -360,12 +359,12 @@ def auto_batch_size(n_runs: int, workers: int) -> int:
                       math.ceil(n_runs / (workers * _OVERSUBSCRIPTION))))
 
 
-# -- pluggable executors -------------------------------------------------
+# -- executors -----------------------------------------------------------
 #
 # The runner's dispatch loop is generic; *where* a batch executes is an
-# Executor's business.  The protocol is deliberately small so new
-# backends (a remote job queue, a CI matrix fan-out) can slot in without
-# touching the retry/quarantine/telemetry/checkpoint machinery:
+# Executor's business (the runner picks one from ``workers``).  The
+# protocol is small and keeps the retry/quarantine/telemetry/checkpoint
+# machinery out of the backends:
 #
 #   run_batches(chunks, task, on_outcome, should_stop) -> in_flight
 #       Execute ``task(chunk)`` for every chunk, calling
@@ -394,11 +393,6 @@ class InlineExecutor:
     through in the coordinating process.
     """
 
-    name = "inline"
-
-    def __init__(self, workers: int = 1):
-        self.workers = 1
-
     def run_batches(self, chunks, task, on_outcome, should_stop):
         for chunk in chunks:
             if should_stop():
@@ -422,11 +416,9 @@ class LocalExecutor:
     pool, so only a genuinely poisonous run keeps failing).
     """
 
-    name = "local"
-
-    def __init__(self, workers: int, context=None):
+    def __init__(self, workers: int):
         self.workers = max(1, int(workers))
-        self.context = context or multiprocessing.get_context()
+        self.context = multiprocessing.get_context()
 
     def run_batches(self, chunks, task, on_outcome, should_stop):
         pool = concurrent.futures.ProcessPoolExecutor(
@@ -463,28 +455,6 @@ class LocalExecutor:
             max_workers=1, mp_context=self.context
         ) as retry_pool:
             return retry_pool.submit(execute_run, payload).result()
-
-
-#: Executor backends selectable via ``CampaignRunner(executor=...)`` /
-#: ``campaign run --executor``.  ``"local"`` degrades to the inline
-#: backend at ``workers <= 1`` (same results either way -- the
-#: determinism contract makes backends interchangeable).
-EXECUTOR_REGISTRY = {
-    "local": LocalExecutor,
-    "inline": InlineExecutor,
-}
-
-
-def create_executor(name: str, workers: int):
-    """Instantiate a registered executor backend by name."""
-    if name not in EXECUTOR_REGISTRY:
-        raise ValueError(
-            f"unknown executor {name!r} "
-            f"(expected one of {sorted(EXECUTOR_REGISTRY)})"
-        )
-    if name == "local" and int(workers) <= 1:
-        return InlineExecutor()
-    return EXECUTOR_REGISTRY[name](workers)
 
 
 def _worker_death_record(payload: dict, exc: Exception) -> dict:
@@ -567,7 +537,6 @@ class CampaignRunner:
         echo=None,
         progress: bool = False,
         telemetry: bool = False,
-        executor: str = "local",
     ):
         self.spec = spec
         self.workers = max(1, int(workers))
@@ -576,12 +545,6 @@ class CampaignRunner:
         if batch_size is not None and int(batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = None if batch_size is None else int(batch_size)
-        if executor not in EXECUTOR_REGISTRY:
-            raise ValueError(
-                f"unknown executor {executor!r} "
-                f"(expected one of {sorted(EXECUTOR_REGISTRY)})"
-            )
-        self.executor_name = executor
         self.out_dir = None if out_dir is None else os.fspath(out_dir)
         #: ``(shard_index, shard_count)`` when the spec declares a shard
         #: assignment.  The shard's checkpoint lives in its own
@@ -800,7 +763,8 @@ class CampaignRunner:
             if pending:
                 chunks = [pending[i:i + batch]
                           for i in range(0, len(pending), batch)]
-                executor = create_executor(self.executor_name, self.workers)
+                executor = (LocalExecutor(self.workers) if self.workers > 1
+                            else InlineExecutor())
                 self._dispatch(chunks, records, stream, executor)
             if self._stop_signal is not None:
                 if self._telemetry is not None:
@@ -1102,7 +1066,6 @@ def run_campaign(
     batch_size: int | None = None,
     progress: bool = False,
     telemetry: bool = False,
-    executor: str = "local",
 ) -> list[dict]:
     """Execute every run of ``spec`` and return sorted records.
 
@@ -1121,5 +1084,4 @@ def run_campaign(
         echo=echo,
         progress=progress,
         telemetry=telemetry,
-        executor=executor,
     ).run()

@@ -3,8 +3,7 @@
 Defaults follow the paper where it gives guidance ("a predefined period
 of time" for DAD, low initial credit, "a very large amount" of penalty)
 and sensible 2003-era 802.11 values elsewhere.  Experiments override
-selectively; ablation benchmarks sweep the fields called out in
-DESIGN.md Section 5.
+selectively; campaigns sweep any field through the ``config`` spec key.
 """
 
 from __future__ import annotations
@@ -25,29 +24,10 @@ class NodeConfig:
     #: (public_key, payload, signature).  Flooded RREQs arrive as many
     #: identical copies; re-checking the same triple is pure waste, so a
     #: hit costs no crypto debt and counts as "verify_cached" in the
-    #: metrics.  0 disables the cache.
+    #: metrics.  0 disables the cache.  (An LRU miss still consults the
+    #: scenario-wide SharedVerifyCache, which skips only the host-time
+    #: computation and is invisible to results.)
     verify_cache_size: int = 128
-    #: Crypto fast path, layer 1: consult the scenario-wide
-    #: SharedVerifyCache on a per-node-LRU miss, so a signature verified
-    #: at *any* node costs one real backend computation network-wide.
-    #: Byte-identical contract: a shared hit still counts the "verify"
-    #: metric and charges crypto debt -- only the host-time computation
-    #: is skipped.
-    crypto_shared_cache: bool = True
-    #: Capacity of the scenario-wide shared verify cache (entries).
-    #: 0 disables it even when crypto_shared_cache is True.
-    shared_verify_cache_size: int = 4096
-    #: Crypto fast path, layer 2: verify simultaneously-presented
-    #: signatures (a RREQ's source-route entries) in one backend bulk
-    #: pass, then replay metrics/debt/LRU effects sequentially so the
-    #: observable stream is identical to one-at-a-time verification.
-    crypto_batch_verify: bool = True
-    #: Crypto fast path, layer 3: derive node keypairs through the
-    #: process-wide (backend, seed) KeypairPool so a reused campaign
-    #: worker never regenerates a pair it has already derived.
-    #: Deterministic keygen makes the pooled pair bit-identical to a
-    #: fresh derivation.
-    crypto_keypair_pool: bool = True
 
     # -- generic -------------------------------------------------------------
     #: IPv6 hop limit for flooded/forwarded control messages.

@@ -2,9 +2,10 @@
 
 A :class:`NetContext` is created once per scenario and handed to every
 node: the simulation kernel, the shared medium, the metrics collector,
-the trace recorder, and the network-wide DNS trust anchor (the DNS
-server's public key, which the paper assumes "has been securely
-distributed to all mobile nodes prior to network formation").
+the trace recorder, the crypto backends and shared verify cache, and
+the network-wide DNS trust anchor (the DNS server's public key, which
+the paper assumes "has been securely distributed to all mobile nodes
+prior to network formation").
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ class NetContext:
     #: registry singletons used to accumulate simsig oracle entries and
     #: sign/verify counters across every run in a process.
     crypto_backends: dict[str, CryptoBackend] = field(default_factory=dict, repr=False)
-    #: Scenario-wide verified-signature cache, created lazily by
-    #: :meth:`shared_verify_cache` (None until a node with
-    #: ``crypto_shared_cache`` enabled asks for it).
-    verify_cache: SharedVerifyCache | None = field(default=None, repr=False)
+    #: Scenario-wide verified-signature cache: a triple verified at any
+    #: node is a host-time hit everywhere (see
+    #: :mod:`repro.crypto.verify_cache` for why results cannot change).
+    verify_cache: SharedVerifyCache = field(default_factory=SharedVerifyCache, repr=False)
 
     def __post_init__(self) -> None:
         # Let the medium annotate the shared trace (e.g. graceful no-op
@@ -60,16 +61,6 @@ class NetContext:
             backend = create_backend(name)
             self.crypto_backends[name] = backend
         return backend
-
-    def shared_verify_cache(self, capacity: int) -> SharedVerifyCache:
-        """This scenario's shared verify cache (lazily created).
-
-        First caller's ``capacity`` wins; nodes normally share one
-        :class:`~repro.core.config.NodeConfig` so they agree anyway.
-        """
-        if self.verify_cache is None:
-            self.verify_cache = SharedVerifyCache(capacity)
-        return self.verify_cache
 
     @property
     def now(self) -> float:

@@ -64,12 +64,6 @@ class Node:
             self.keypair = keypair
         else:
             self.keypair = self._derive_keypair()
-        self._shared_verify = (
-            ctx.shared_verify_cache(self.config.shared_verify_cache_size)
-            if self.config.crypto_shared_cache
-            and self.config.shared_verify_cache_size > 0
-            else None
-        )
         #: Configured address; None until bootstrap completes.
         self.ip: IPv6Address | None = None
         #: CGA parameters proving ownership of :attr:`ip`.
@@ -99,13 +93,10 @@ class Node:
         seed = hashlib.sha256(
             f"{self.sim.seed}/key/{self.name}".encode()
         ).digest()
-        if self.config.crypto_keypair_pool:
-            # Fast path layer 3: keygen is deterministic in (backend,
-            # seed), so the pooled pair is bit-identical to a fresh
-            # derivation; the pool re-adopts it into this scenario's
-            # backend instance.
-            return DEFAULT_KEYPAIR_POOL.get(self.backend, seed)
-        return self.backend.generate_keypair(seed)
+        # Keygen is deterministic in (backend, seed), so the pooled pair
+        # is bit-identical to a fresh derivation; the pool re-adopts it
+        # into this scenario's backend instance.
+        return DEFAULT_KEYPAIR_POOL.get(self.backend, seed)
 
     @property
     def public_key(self) -> PublicKey:
@@ -193,11 +184,11 @@ class Node:
 
         On an LRU miss the node counts a ``verify`` op and charges debt
         exactly as always; :meth:`_compute_verify` then resolves the
-        verdict through the scenario's shared cache (fast path layer 1)
-        before falling back to the backend.  ``_precomputed`` carries a
-        verdict :meth:`verify_batch` already obtained from a backend bulk
-        pass -- it never changes observable behaviour, only skips the
-        redundant recomputation.
+        verdict through the scenario's shared cache before falling back
+        to the backend.  ``_precomputed`` carries a verdict
+        :meth:`verify_batch` already obtained from a backend bulk pass --
+        it never changes observable behaviour, only skips the redundant
+        recomputation.
         """
         cache_size = self.config.verify_cache_size
         if cache_size > 0:
@@ -229,19 +220,17 @@ class Node:
         Metrics and crypto debt are already accounted by the caller;
         whatever happens here is host-time execution strategy only.
         """
-        shared = self._shared_verify
-        if shared is not None:
-            skey = (self.backend.name, public, payload, signature)
-            verdict = shared.lookup(skey, self.name)
-            if verdict is not None:
-                return verdict
+        shared = self.ctx.verify_cache
+        skey = (self.backend.name, public, payload, signature)
+        verdict = shared.lookup(skey, self.name)
+        if verdict is not None:
+            return verdict
         result = (
             precomputed
             if precomputed is not None
             else self.backend.verify(public, payload, signature)
         )
-        if shared is not None:
-            shared.store(skey, result)
+        shared.store(skey, result)
         return result
 
     def verify_batch(
@@ -259,16 +248,8 @@ class Node:
         never needs a per-item backend call.  Returns the verdict list
         truncated after the first ``False``.
         """
-        if not self.config.crypto_batch_verify or len(items) <= 1:
-            out = []
-            for public, payload, signature in items:
-                verdict = self.verify(public, payload, signature)
-                out.append(verdict)
-                if not verdict:
-                    break
-            return out
         cache_size = self.config.verify_cache_size
-        shared = self._shared_verify
+        shared = self.ctx.verify_cache
         pending: list[tuple[PublicKey, bytes, bytes]] = []
         seen: set[tuple[PublicKey, bytes, bytes]] = set()
         for item in items:
@@ -276,7 +257,7 @@ class Node:
                 continue
             if item in seen:
                 continue
-            if shared is not None and shared.peek((self.backend.name,) + item) is not None:
+            if shared.peek((self.backend.name,) + item) is not None:
                 continue
             seen.add(item)
             pending.append(item)

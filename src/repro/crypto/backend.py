@@ -4,7 +4,7 @@ The protocol layer is backend-agnostic: it calls ``sign``/``verify`` and
 ``encode_public_key`` and never looks inside key material.  Experiments
 pick the backend per scenario -- real RSA for security-focused runs,
 simulated signatures for thousand-node sweeps -- without touching
-protocol code (ablation P3 in DESIGN.md).
+protocol code (``NodeConfig.crypto_backend``).
 """
 
 from __future__ import annotations
@@ -60,9 +60,11 @@ class CryptoBackend(ABC):
         """Verify ``(public, message, signature)`` triples in one pass.
 
         Verdicts are element-wise identical to calling :meth:`verify` on
-        each triple -- this hook exists purely so backends can amortise
+        each triple; :meth:`repro.core.node.Node.verify_batch` sends every
+        cache-missed SRR signature through here.  Backends may amortise
         per-call overhead (simsig hoists the tag recomputation into one
-        bulk loop).  The default delegates to :meth:`verify` one by one.
+        bulk loop); the default, which RSA uses, calls :meth:`verify` one
+        by one.
         """
         return [self.verify(public, message, signature) for public, message, signature in items]
 

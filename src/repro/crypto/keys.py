@@ -146,6 +146,5 @@ class KeypairPool:
 
 
 #: The campaign-level pool: one per process, shared by every scenario a
-#: reused worker executes (gated per scenario by
-#: ``NodeConfig.crypto_keypair_pool``).
+#: reused worker executes (``Node._derive_keypair`` always asks it).
 DEFAULT_KEYPAIR_POOL = KeypairPool()

@@ -1,14 +1,14 @@
 """Scenario-wide shared cache of signature-verification verdicts.
 
-PR 2 gave every node a private LRU memo of ``(public_key, payload,
-signature)`` -> verdict, which collapses the *same node* re-checking the
-same flooded copy.  A flooded, signed control message is however
-verified at *many* nodes -- every relay under ``verify_at_intermediate``,
-every destination copy -- and each node used to pay the backend
-computation once even though the verdict is a pure function of the
-triple.  :class:`SharedVerifyCache` is the per-scenario promotion of
-that memo: one instance hangs off :class:`~repro.core.context.NetContext`
-and a signature verified once at *any* node is a hit everywhere.
+Every node keeps a private LRU memo of ``(public_key, payload,
+signature)`` -> verdict (``NodeConfig.verify_cache_size``), which
+collapses the *same node* re-checking the same flooded copy.  A flooded,
+signed control message is however verified at *many* nodes -- every
+relay under ``verify_at_intermediate``, every destination copy -- and
+the verdict is a pure function of the triple.  :class:`SharedVerifyCache`
+is the per-scenario promotion of that memo: every
+:class:`~repro.core.context.NetContext` builds one, and a signature
+verified once at *any* node is a hit everywhere.
 
 Byte-identity contract: a shared
 hit replays the **exact observable sequence of a real verify** -- the
@@ -18,7 +18,8 @@ charged as crypto debt -- and only the backend's *host-time* computation
 is skipped.  Hit/miss/eviction counters therefore live on this object
 (surfaced via ``Scenario.enable_crypto_stats`` and the telemetry
 sidecar), never in ``MetricsCollector.summary()``: a summary field that
-moved with the flag would break the A/B byte-compare.
+moved with the cache would break the byte-compare against the unshared
+oracle in ``tests/crypto_oracles.py``.
 
 Key design: ``(backend_name, public_key, payload, signature)``.  The
 :class:`~repro.crypto.keys.PublicKey` hashes through its canonical byte

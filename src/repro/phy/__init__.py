@@ -21,7 +21,7 @@ MAC/ND caches in real stacks: any node may *claim* any source IP at the
 link layer, and it is the protocol's cryptographic checks -- not the
 radio -- that must catch lies.  Collisions are not modelled; per-link
 Bernoulli loss plus jittered rebroadcasts capture the loss behaviour the
-protocol logic is sensitive to (see DESIGN.md substitutions).
+protocol logic is sensitive to.
 """
 
 from repro.phy.medium import Frame, RadioHandle, WirelessMedium, BROADCAST_LINK

@@ -422,36 +422,23 @@ class SecureDSRRouter:
                 self.node.verdict(f"rreq.rejected.source_{check.reason}")
                 return False
         if self.VERIFY_HOPS:
-            if self.cfg.crypto_batch_verify and len(msg.srr) > 1:
-                # Fast path layer 2: the SRR entries arrive together, so
-                # present them to the node's batch verifier in one pass
-                # (verify_identity_batch documents why this is observably
-                # identical to the sequential loop below).
-                n_ok, reason = verify_identity_batch(
-                    [
-                        (
-                            entry.ip, entry.public_key, entry.rn,
-                            entry.signature,
-                            signing.srr_entry_payload(entry.ip, msg.seq),
-                        )
-                        for entry in msg.srr
-                    ],
-                    self.node.verify_batch,
-                )
-                if reason:
-                    self.node.verdict(f"rreq.rejected.hop_{reason}")
-                    return False
-            else:
-                for entry in msg.srr:
-                    check = verify_identity(
-                        self.node.backend, entry.ip, entry.public_key, entry.rn,
+            # The SRR entries arrive together, so they go to the node's
+            # batch verifier in one pass (verify_identity_batch documents
+            # why this is observably the per-entry loop).
+            _, reason = verify_identity_batch(
+                [
+                    (
+                        entry.ip, entry.public_key, entry.rn,
                         entry.signature,
                         signing.srr_entry_payload(entry.ip, msg.seq),
-                        verify_fn=self.node.verify,
                     )
-                    if not check:
-                        self.node.verdict(f"rreq.rejected.hop_{check.reason}")
-                        return False
+                    for entry in msg.srr
+                ],
+                self.node.verify_batch,
+            )
+            if reason:
+                self.node.verdict(f"rreq.rejected.hop_{reason}")
+                return False
         self.node.verdict("rreq.accepted")
         return True
 

@@ -14,6 +14,7 @@ formation, so it does not itself run DAD.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -194,7 +195,7 @@ class Scenario:
         return stats
 
     def crypto_stats(self) -> dict:
-        """Execution counters of the crypto fast path (JSON-clean).
+        """Execution counters of the crypto layer (JSON-clean).
 
         Backend sign/verify call counts (real computations, not the
         metrics-level logical ops), the shared verify cache's
@@ -211,10 +212,9 @@ class Scenario:
             }
             for name, backend in sorted(self.ctx.crypto_backends.items())
         }
-        cache = self.ctx.verify_cache
         return {
             "backends": backends,
-            "shared_verify_cache": cache.stats() if cache is not None else None,
+            "shared_verify_cache": self.ctx.verify_cache.stats(),
             "keypair_pool": DEFAULT_KEYPAIR_POOL.stats(),
         }
 
@@ -222,8 +222,8 @@ class Scenario:
         """Surface :meth:`crypto_stats` as a ``crypto_stats`` summary block.
 
         Same opt-in contract as :meth:`enable_kernel_stats`: without this
-        call the summary is byte-identical whatever the crypto fast-path
-        flags are, which is what the equivalence gates compare.
+        call the summary holds only simulation results, which is what the
+        equivalence gates compare against the crypto oracles.
         """
         self.metrics.attach_crypto_stats(self.crypto_stats)
 
@@ -371,30 +371,6 @@ class ScenarioBuilder:
         self._loss_rate = loss_rate
         return self
 
-    def crypto(
-        self,
-        shared_cache: bool | None = None,
-        batch_verify: bool | None = None,
-        keypair_pool: bool | None = None,
-    ) -> "ScenarioBuilder":
-        """Crypto fast-path knobs (sugar over :meth:`config` fields
-        ``crypto_shared_cache`` / ``crypto_batch_verify`` /
-        ``crypto_keypair_pool``, so they sweep through the ``config``
-        spec key like any other NodeConfig override).  All default True;
-        results are byte-identical across the whole 2x2x2 matrix --
-        ``tests/test_crypto_equivalence.py`` regression-tests that claim.
-        ``None`` means "leave unchanged", so calls compose in any order."""
-        overrides = {}
-        if shared_cache is not None:
-            overrides["crypto_shared_cache"] = bool(shared_cache)
-        if batch_verify is not None:
-            overrides["crypto_batch_verify"] = bool(batch_verify)
-        if keypair_pool is not None:
-            overrides["crypto_keypair_pool"] = bool(keypair_pool)
-        if overrides:
-            self.config(**overrides)
-        return self
-
     # -- protocol ----------------------------------------------------------------
     def config(self, **overrides) -> "ScenarioBuilder":
         self._config = self._config.with_overrides(**overrides)
@@ -467,6 +443,8 @@ class ScenarioBuilder:
             loss_rate=float(radio.get("loss_rate", 0.0)),
         )
         if spec.get("config"):
+            _check_keys("config", spec["config"],
+                        {f.name for f in dataclasses.fields(NodeConfig)})
             builder.config(**spec["config"])
 
         topo = dict(spec["topology"])

@@ -24,11 +24,8 @@ from repro.campaign.merge import (
     merge_shards,
     validate_merge_conflicts_file,
 )
-from repro.campaign.runner import (
-    EXECUTOR_REGISTRY,
-    InlineExecutor,
-    create_executor,
-)
+from repro.campaign import runner as runner_mod
+from repro.campaign.runner import InlineExecutor, LocalExecutor
 from repro.campaign.shard import (
     load_shard_manifest,
     parse_shard,
@@ -320,25 +317,35 @@ def test_shard_manifest_validation():
 # -- executors ---------------------------------------------------------------
 
 def test_executor_backends_are_interchangeable(tmp_path):
+    """One worker runs inline, two run on the pool: same bytes."""
     inline_out = tmp_path / "inline"
     local_out = tmp_path / "local"
-    CampaignRunner(_spec(), workers=2, out_dir=inline_out,
-                   executor="inline").run()
-    CampaignRunner(_spec(), workers=2, out_dir=local_out,
-                   executor="local").run()
+    CampaignRunner(_spec(), workers=1, out_dir=inline_out).run()
+    CampaignRunner(_spec(), workers=2, out_dir=local_out).run()
     assert campaign_artifacts(inline_out) == campaign_artifacts(local_out)
 
 
-def test_create_executor():
-    assert set(EXECUTOR_REGISTRY) == {"local", "inline"}
-    assert create_executor("inline", 4).name == "inline"
-    assert create_executor("local", 4).name == "local"
-    # the local backend degrades to inline at one worker
-    assert isinstance(create_executor("local", 1), InlineExecutor)
-    with pytest.raises(ValueError, match="unknown executor"):
-        create_executor("cloud", 4)
-    with pytest.raises(ValueError, match="unknown executor"):
-        CampaignRunner(_spec(), executor="cloud")
+def test_create_executor(monkeypatch):
+    """The executor option is retired: the backend follows ``workers``."""
+    assert not hasattr(runner_mod, "EXECUTOR_REGISTRY")
+    assert not hasattr(runner_mod, "create_executor")
+    with pytest.raises(TypeError):
+        CampaignRunner(_spec(), executor="inline")
+    with pytest.raises(TypeError):
+        runner_mod.run_campaign(_spec(), executor="local")
+
+    used = []
+
+    def spy(self, chunks, records, stream, executor):
+        used.append(executor)
+
+    monkeypatch.setattr(CampaignRunner, "_dispatch", spy)
+    for workers in (1, 2, 4):
+        CampaignRunner(_spec(), workers=workers).run()
+    inline, *pooled = used
+    assert type(inline) is InlineExecutor
+    assert [type(e) for e in pooled] == [LocalExecutor, LocalExecutor]
+    assert [e.workers for e in pooled] == [2, 4]
 
 
 # -- CLI ---------------------------------------------------------------------

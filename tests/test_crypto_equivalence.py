@@ -1,37 +1,24 @@
-"""Crypto fast-path equivalence: byte-identical across the 2x2x2 matrix.
+"""Crypto equivalence: production against every oracle corner.
 
-The crypto fast path (scenario-wide shared verify cache, batched SRR
+The crypto path (scenario-wide shared verify cache, batched SRR
 verification, process-wide keypair pool) must not change *anything*
 observable: same seed + same scenario must yield identical metrics
 summaries, identical traces, identical medium counters, and the same
-number of kernel events whichever flag combination ran.  These tests
-mirror tests/test_vectorized_equivalence.py across the full 2x2x2
-matrix (``crypto_shared_cache`` x ``crypto_batch_verify`` x
-``crypto_keypair_pool``) under loss, random-waypoint mobility, churn --
-and, critically, under active adversaries: a cached *negative* verdict
-must never mask a forged signature, and a cached *positive* verdict
-must never launder a replayed or impersonated message.
+number of kernel events as the plain computations in
+``tests/crypto_oracles.py``.  Each scenario runs in production and under
+all 8 ``(shared_cache, batch_verify, keypair_pool)`` oracle corners
+(the all-True corner is production again, a determinism check) under
+loss, random-waypoint mobility, churn -- and, critically, under active
+adversaries: a cached *negative* verdict must never mask a forged
+signature, and a cached *positive* verdict must never launder a
+replayed or impersonated message.
 """
 
-import itertools
-
+from crypto_oracles import CORNERS, installed
 from repro.phy.mobility import ChurnModel
 from repro.scenarios import ScenarioBuilder
 from repro.scenarios.attacks import add_dns_impersonator, add_forger, add_replayer
 from tests.conftest import chain_scenario, two_path_scenario
-
-#: Every (shared_cache, batch_verify, keypair_pool) combination; the
-#: all-off corner (the pre-fast-path behaviour) is the reference.
-COMBOS = list(itertools.product((False, True), repeat=3))
-
-
-def crypto_flags(combo) -> dict:
-    shared, batch, pool = combo
-    return {
-        "crypto_shared_cache": shared,
-        "crypto_batch_verify": batch,
-        "crypto_keypair_pool": pool,
-    }
 
 
 def fingerprint(scenario) -> dict:
@@ -52,16 +39,20 @@ def fingerprint(scenario) -> dict:
     }
 
 
-def assert_all_identical(fingerprints: dict) -> None:
-    (ref_combo, ref), *rest = fingerprints.items()
-    for combo, fp in rest:
-        for key in ref:
-            assert fp[key] == ref[key], (
-                f"{combo} diverges from {ref_combo} on {key!r}"
+def against_oracles(run) -> dict:
+    """Production's fingerprint, checked against all 8 oracle corners."""
+    production = run()
+    for corner in CORNERS:
+        with installed(*corner):
+            fp = run()
+        for key in production:
+            assert fp[key] == production[key], (
+                f"oracle corner {corner} diverges from production on {key!r}"
             )
+    return production
 
 
-def run_lossy_grid(combo) -> dict:
+def run_lossy_grid() -> dict:
     """Static grid under loss with per-hop verification: multi-entry SRRs
     exercise the batched verify path at both relays and destinations."""
     sc = (
@@ -69,7 +60,7 @@ def run_lossy_grid(combo) -> dict:
         .grid(12, spacing=180.0)
         .radio(250.0, loss_rate=0.1)
         .with_dns()
-        .config(verify_at_intermediate=True, **crypto_flags(combo))
+        .config(verify_at_intermediate=True)
         .build()
     )
     sc.bootstrap_all()
@@ -80,14 +71,13 @@ def run_lossy_grid(combo) -> dict:
     return fingerprint(sc)
 
 
-def run_mobile_with_churn(combo) -> dict:
+def run_mobile_with_churn() -> dict:
     sc = (
         ScenarioBuilder(seed=7)
         .uniform(10, (700.0, 700.0))
         .radio(250.0, loss_rate=0.05)
         .with_dns()
         .random_waypoint(speed=(2.0, 8.0), pause=2.0)
-        .config(**crypto_flags(combo))
         .build()
     )
     churn = ChurnModel(
@@ -103,12 +93,11 @@ def run_mobile_with_churn(combo) -> dict:
     return fingerprint(sc)
 
 
-def run_forger(combo) -> dict:
+def run_forger() -> dict:
     """Hop-identity forgery: the spoofed SRR entry must be rejected with
-    ``hop_bad_cga`` in every combination -- a shared cache or batch pass
-    may never let the forged hop through."""
-    sc = two_path_scenario(seed=59, verify_at_intermediate=True,
-                           **crypto_flags(combo)).build()
+    ``hop_bad_cga`` everywhere -- a shared cache or batch pass may never
+    let the forged hop through."""
+    sc = two_path_scenario(seed=59, verify_at_intermediate=True).build()
     victim = sc.hosts[2]
     sc.bootstrap_all()
     forger = add_forger(sc, (200.0, 0.0), spoof_hop_ip=victim.ip)
@@ -120,10 +109,10 @@ def run_forger(combo) -> dict:
     return fingerprint(sc)
 
 
-def run_replayer(combo) -> dict:
+def run_replayer() -> dict:
     """Replayed RREPs carry valid signatures over stale sequence numbers:
     a cached *positive* verdict must still be rejected as stale."""
-    sc = chain_scenario(n=4, seed=47, **crypto_flags(combo)).build()
+    sc = chain_scenario(n=4, seed=47).build()
     add_replayer(sc, (300.0, 120.0))
     sc.bootstrap_all()
     a, b = sc.hosts[0], sc.hosts[3]
@@ -136,12 +125,12 @@ def run_replayer(combo) -> dict:
     return fingerprint(sc)
 
 
-def run_dns_impersonator(combo) -> dict:
+def run_dns_impersonator() -> dict:
     """A rogue resolver answers name lookups with a forged binding; the
-    impersonated answer fails verification identically in every combo."""
+    impersonated answer fails verification identically everywhere."""
     from repro.ipv6.cga import cga_address
 
-    sc = chain_scenario(n=4, seed=67, **crypto_flags(combo)).build()
+    sc = chain_scenario(n=4, seed=67).build()
     sc.bootstrap_all(names={"n3": "bob.manet"})
     sc.run(duration=8.0)
     mallory_answer = cga_address(sc.hosts[1].public_key, rn=123)
@@ -152,34 +141,59 @@ def run_dns_impersonator(combo) -> dict:
     results = []
     sc.hosts[0].dns_client.resolve("bob.manet", results.append)
     sc.run(duration=15.0)
-    assert results == [sc.hosts[3].ip]  # never the poison, in any combo
+    assert results == [sc.hosts[3].ip]  # never the poison, in any corner
     return fingerprint(sc)
 
 
 def test_lossy_grid_is_byte_identical():
-    assert_all_identical({c: run_lossy_grid(c) for c in COMBOS})
+    against_oracles(run_lossy_grid)
 
 
 def test_mobile_churn_is_byte_identical():
-    assert_all_identical({c: run_mobile_with_churn(c) for c in COMBOS})
+    against_oracles(run_mobile_with_churn)
 
 
 def test_forger_rejected_identically_across_matrix():
-    results = {c: run_forger(c) for c in COMBOS}
-    # the attack actually fired and was caught in the reference...
-    ref = results[COMBOS[0]]
-    assert ref["verdicts"]["rreq.rejected.hop_bad_cga"] >= 1
-    # ... and every fast-path combination saw the byte-identical story
-    assert_all_identical(results)
+    production = against_oracles(run_forger)
+    # the attack actually fired and was caught, in production and (by
+    # byte-identity) under every oracle corner
+    assert production["verdicts"]["rreq.rejected.hop_bad_cga"] >= 1
 
 
 def test_replayer_rejected_identically_across_matrix():
-    results = {c: run_replayer(c) for c in COMBOS}
-    ref = results[COMBOS[0]]
-    assert ref["verdicts"]["rrep.rejected.stale_seq"] >= 1
-    assert_all_identical(results)
+    production = against_oracles(run_replayer)
+    assert production["verdicts"]["rrep.rejected.stale_seq"] >= 1
 
 
 def test_dns_impersonator_rejected_identically_across_matrix():
-    results = {c: run_dns_impersonator(c) for c in COMBOS}
-    assert_all_identical(results)
+    against_oracles(run_dns_impersonator)
+
+
+def run_rsa_per_hop() -> dict:
+    """RSA with per-hop verification on a 6-host chain: every discovery
+    carries a 4-entry SRR, and RSA verifies batches through the base
+    class's per-item ``verify_batch``."""
+    sc = chain_scenario(n=6, seed=13, crypto_backend="rsa",
+                        verify_at_intermediate=True).build()
+    sc.bootstrap_all()
+    a, z = sc.hosts[0], sc.hosts[-1]
+    for k in range(3):
+        sc.sim.schedule(k * 1.0, sc.send_data, a, z.ip, b"r" * 16)
+    sc.run(duration=15.0)
+    fp = fingerprint(sc)
+    fp["longest_srr_at_dest"] = max(
+        (len(e.payload.srr) for e in sc.trace.events
+         if e.node == z.name and e.kind == "recv" and e.msg_type == "RREQ"),
+        default=0,
+    )
+    return fp
+
+
+def test_rsa_per_hop_matches_all_off_oracle():
+    production = run_rsa_per_hop()
+    with installed(shared_cache=False, batch_verify=False, keypair_pool=False):
+        oracle = run_rsa_per_hop()
+    assert oracle == production
+    assert production["longest_srr_at_dest"] >= 4
+    assert production["verdicts"]["rreq.accepted"] >= 1
+    assert production["summary"]["crypto_verify_ops"] > 0

@@ -1,16 +1,21 @@
-"""Unit tests for the crypto fast path (PR 7).
+"""Unit tests for the crypto path.
 
-Layer by layer: the scenario-wide :class:`SharedVerifyCache`, the
+Piece by piece: the scenario-wide :class:`SharedVerifyCache`, the
 process-wide :class:`KeypairPool`, backend ``verify_batch`` /
-``adopt_keypair`` / ``reset``, :meth:`Node.verify_batch`'s replay
-equivalence, :func:`verify_identity_batch` first-failure semantics, and
-the satellite-1 regression: per-scenario backend instances keep a reused
-worker's state bounded and isolated (the :func:`get_backend` registry
-singleton used to accumulate simsig oracle entries and counters across
-every run in a process).
+``adopt_keypair`` / ``reset``, :meth:`Node.verify_batch` against the
+sequential oracle in ``tests/crypto_oracles.py``,
+:func:`verify_identity_batch` first-failure semantics, the retired
+crypto switches, and the backend-isolation regression: per-scenario
+backend instances keep a reused worker's state bounded and isolated (the
+:func:`get_backend` registry singleton used to accumulate simsig oracle
+entries and counters across every run in a process).
 """
 
+import dataclasses
+
 import pytest
+
+from crypto_oracles import installed
 
 from repro.core.config import NodeConfig
 from repro.crypto.backend import create_backend, get_backend
@@ -181,16 +186,29 @@ def test_shared_hit_replays_observables_and_skips_backend():
     assert sc.metrics.crypto_ops["simsig.verify_cached"] == cached_before + 1
 
 
+#: NodeConfig fields retired when the crypto path became the only path.
+RETIRED_CRYPTO_KEYS = ("crypto_shared_cache", "shared_verify_cache_size",
+                       "crypto_batch_verify", "crypto_keypair_pool")
+
+
 def test_shared_cache_disabled_by_flag_and_by_zero_size():
-    for cfg in ({"crypto_shared_cache": False}, {"shared_verify_cache_size": 0}):
-        sc = two_node_scenario(**cfg)
+    """The shared cache has no off switch any more: no flag, no size
+    knob, and every scenario owns one.  Only the oracle bypasses it."""
+    names = {f.name for f in dataclasses.fields(NodeConfig)}
+    assert not names & set(RETIRED_CRYPTO_KEYS)
+    for key in ("crypto_shared_cache", "shared_verify_cache_size"):
+        with pytest.raises(TypeError):
+            NodeConfig().with_overrides(**{key: 0})
+    sc = two_node_scenario()
+    assert isinstance(sc.ctx.verify_cache, SharedVerifyCache)
+    with installed(shared_cache=False):
         a, b = sc.hosts[0], sc.hosts[1]
         sig = a.sign(b"p")
         assert a.verify(a.public_key, b"p", sig) is True
         before = a.backend.verifies
         assert b.verify(a.public_key, b"p", sig) is True
         assert a.backend.verifies == before + 1  # really recomputed
-        assert sc.ctx.verify_cache is None
+    assert len(sc.ctx.verify_cache) == 0
 
 
 def test_cached_negative_verdict_cannot_mask_a_different_signature():
@@ -219,16 +237,17 @@ def _metrics_state(sc, node):
 
 @pytest.mark.parametrize("flags", [
     {},
-    {"crypto_shared_cache": False},
+    {"shared_cache": False},
     {"verify_cache_size": 0},
-    {"verify_cache_size": 0, "crypto_shared_cache": False},
+    {"verify_cache_size": 0, "shared_cache": False},
 ])
 def test_node_verify_batch_equals_sequential_replay(flags):
-    """Batch path vs sequential path on twin scenarios: identical
-    verdicts, metric ops, crypto debt, and LRU contents -- including the
-    stop-at-first-failure truncation and duplicate items."""
-    sc_seq = two_node_scenario(crypto_batch_verify=False, **flags)
-    sc_bat = two_node_scenario(crypto_batch_verify=True, **flags)
+    """Production batch path vs the sequential oracle on twin scenarios:
+    identical verdicts, metric ops, crypto debt, and LRU contents --
+    including the stop-at-first-failure truncation and duplicate items.
+    ``shared_cache=False`` runs both sides on the unshared oracle."""
+    config = dict(flags)
+    shared = config.pop("shared_cache", True)
 
     def build_items(sc):
         a, b, c = sc.hosts
@@ -241,10 +260,14 @@ def test_node_verify_batch_equals_sequential_replay(flags):
         ]
         return sc.hosts[2], items
 
-    verifier_seq, items_seq = build_items(sc_seq)
-    verifier_bat, items_bat = build_items(sc_bat)
-    out_seq = verifier_seq.verify_batch(items_seq)
-    out_bat = verifier_bat.verify_batch(items_bat)
+    with installed(shared_cache=shared, batch_verify=False):
+        sc_seq = two_node_scenario(**config)
+        verifier_seq, items_seq = build_items(sc_seq)
+        out_seq = verifier_seq.verify_batch(items_seq)
+    with installed(shared_cache=shared):
+        sc_bat = two_node_scenario(**config)
+        verifier_bat, items_bat = build_items(sc_bat)
+        out_bat = verifier_bat.verify_batch(items_bat)
     assert out_seq == out_bat == [True, True, True, False]
     assert _metrics_state(sc_seq, verifier_seq) == _metrics_state(sc_bat, verifier_bat)
 
@@ -387,14 +410,15 @@ def test_keypair_pool_spans_in_process_runs():
     for n1, n2 in zip(first.all_nodes, second.all_nodes):
         assert n1.keypair is n2.keypair
         assert n1.ip == n2.ip
-    # pooling off: pairs are equal in value but freshly derived
-    sc = (
-        ScenarioBuilder(seed=33)
-        .chain(3, spacing=200.0)
-        .with_dns((200.0, 60.0))
-        .config(crypto_keypair_pool=False)
-        .build()
-    )
+    # the fresh-keygen oracle: pairs are equal in value but re-derived
+    with installed(keypair_pool=False):
+        sc = (
+            ScenarioBuilder(seed=33)
+            .chain(3, spacing=200.0)
+            .with_dns((200.0, 60.0))
+            .build()
+        )
+    assert DEFAULT_KEYPAIR_POOL.hits == misses  # the pool was bypassed
     assert sc.hosts[0].keypair is not second.hosts[0].keypair
     assert sc.hosts[0].keypair == second.hosts[0].keypair
 
@@ -402,19 +426,18 @@ def test_keypair_pool_spans_in_process_runs():
 # -- builder / observability plumbing -------------------------------------
 
 def test_builder_crypto_knob_composes_and_round_trips():
-    b = ScenarioBuilder(seed=1).chain(3).crypto(shared_cache=False)
-    assert b._config.crypto_shared_cache is False
-    assert b._config.crypto_batch_verify is True  # None = unchanged
-    b.crypto(batch_verify=False, keypair_pool=False)
-    assert b._config.crypto_shared_cache is False
-    spec = b.to_spec()
-    assert spec["config"] == {
-        "crypto_shared_cache": False,
-        "crypto_batch_verify": False,
-        "crypto_keypair_pool": False,
-    }
-    rebuilt = ScenarioBuilder.from_spec(spec)
-    assert rebuilt._config.crypto_keypair_pool is False
+    """The crypto knob is retired: no builder method, nothing in the
+    default spec, and a spec carrying any retired key fails up front
+    with a one-line error naming it."""
+    assert not hasattr(ScenarioBuilder, "crypto")
+    spec = ScenarioBuilder(seed=1).chain(3).to_spec()
+    assert "config" not in spec or not set(spec["config"]) & set(RETIRED_CRYPTO_KEYS)
+    assert ScenarioBuilder.from_spec(spec).to_spec() == spec
+    for key in RETIRED_CRYPTO_KEYS + ("hop_limt",):  # retired or mistyped
+        bad = dict(spec, config={"verify_cache_size": 64, key: False})
+        with pytest.raises(ValueError, match=key) as excinfo:
+            ScenarioBuilder.from_spec(bad)
+        assert "\n" not in str(excinfo.value)
 
 
 def test_crypto_stats_block_is_opt_in():
