@@ -120,6 +120,12 @@ class NodeConfig:
     rerr_suspicion_threshold: int = 3
     rerr_window: float = 30.0
 
+    def __post_init__(self):
+        # Every message carries the hop limit in one byte; a value that
+        # cannot travel would fail each run at its first send instead.
+        if not 1 <= self.hop_limit <= 255:
+            raise ValueError(f"hop_limit must be in 1..255, got {self.hop_limit!r}")
+
     def with_overrides(self, **changes) -> "NodeConfig":
         """A copy with the given fields replaced (frozen dataclass)."""
         return replace(self, **changes)

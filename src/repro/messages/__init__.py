@@ -17,7 +17,12 @@ RERR   Route ERRor          (IIP, I'IP, [IIP, I'IP]ISK, IPK, Irn)
 plus the RFC 2461 NS/NA pair (one-hop DAD baseline), DATA/ACK packets,
 and the DNS query/response/update messages of Section 3.2.
 
-Encodings are length-exact byte strings (:mod:`repro.messages.codec`),
+A message's wire form is its type id byte followed by its fields in
+declaration order, each encoded by the rule its type annotation selects
+(the table in :mod:`repro.messages.codec`; the three fields with widths
+of their own use the aliases in :mod:`repro.messages.base`).  The
+message modules therefore hold only fields, ``META`` and protocol
+helpers; the declarations *are* the format.  Encodings are length-exact,
 so "routing overhead in bytes" in the benchmarks reflects real field
 sizes.  The byte strings that get *signed* are canonicalised in
 :mod:`repro.messages.signing`; both signer and verifier go through the

@@ -1,4 +1,4 @@
-"""Message base class and binary field primitives.
+"""Message base class, binary primitives and the fixed-width field aliases.
 
 A :class:`Message` is an immutable record; mutation patterns like
 "append my identity to the route record and rebroadcast" produce new
@@ -6,16 +6,23 @@ objects (``dataclasses.replace`` under the hood), which prevents an
 intermediate node from accidentally sharing state with queued copies of
 the same flood.
 
-:class:`Writer`/:class:`Reader` are tiny big-endian binary builders used
-by the codec; keeping them here lets message modules define their own
-``_encode_fields``/``_decode_fields`` without importing the codec
-(avoiding a cycle).
+A message's wire form is its dataclass fields in declaration order, each
+written by the :class:`Wire` rule its annotation selects (the table lives
+in :mod:`repro.messages.codec`).  Most fields take their type's default
+rule; a field with a width of its own says so with one of the annotated
+aliases below (:data:`HopLimit`, :data:`SegmentIndex`, :data:`Timestamp`),
+so the annotation is the only place that width is stated.
+
+:class:`Writer`/:class:`Reader` are the big-endian builders every rule is
+made of.  They and the aliases live here, not in the codec, so message
+modules can use them without importing the codec (which imports the
+message modules to register them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import ClassVar
+from typing import Annotated, Any, Callable, ClassVar
 
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import PublicKey
@@ -23,7 +30,7 @@ from repro.ipv6.address import IPv6Address
 
 
 class CodecError(ValueError):
-    """Raised on malformed wire data."""
+    """Raised on malformed wire data or a value that does not fit its field."""
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,11 @@ class MessageMeta:
 class Message:
     """Base class of every protocol message.
 
-    Subclasses set ``META`` and implement ``_encode_fields``/
-    ``_decode_fields``.  ``hop_limit`` is a simulator-level TTL shared by
-    all messages (IPv6 hop limit); it is intentionally *not* covered by
-    any signature, exactly as in real IP.
+    Subclasses set ``META`` and declare their fields; the codec derives
+    the wire layout from those fields, so a subclass writes no encoder.
+    ``hop_limit`` is a simulator-level TTL shared by all messages (IPv6
+    hop limit); it is intentionally *not* covered by any signature,
+    exactly as in real IP.
     """
 
     META: ClassVar[MessageMeta]
@@ -93,14 +101,6 @@ class Message:
             parts.append(f"{f.name}={v}")
         return f"{self.META.name}({', '.join(parts)})"
 
-    # Subclass API -------------------------------------------------------
-    def _encode_fields(self, w: "Writer") -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def _decode_fields(cls, r: "Reader") -> "Message":
-        raise NotImplementedError
-
 
 class Writer:
     """Append-only big-endian binary builder."""
@@ -116,28 +116,25 @@ class Writer:
     def u16(self, v: int) -> None:
         self._chunks.append(v.to_bytes(2, "big"))
 
-    def u32(self, v: int) -> None:
-        self._chunks.append(v.to_bytes(4, "big"))
-
     def u64(self, v: int) -> None:
         self._chunks.append(v.to_bytes(8, "big"))
 
-    def raw(self, b: bytes) -> None:
-        self._chunks.append(b)
+    def flag(self, v: bool) -> None:
+        self.u8(1 if v else 0)
 
     def blob(self, b: bytes) -> None:
         """Length-prefixed (u16) byte string."""
         if len(b) > 0xFFFF:
             raise CodecError(f"blob too long ({len(b)} bytes)")
         self.u16(len(b))
-        self.raw(b)
+        self._chunks.append(b)
 
     def text(self, s: str) -> None:
         """Length-prefixed UTF-8 string (domain names)."""
         self.blob(s.encode("utf-8"))
 
     def address(self, a: IPv6Address) -> None:
-        self.raw(a.packed)
+        self._chunks.append(a.packed)
 
     def public_key(self, k: PublicKey) -> None:
         """Backend-name-tagged public key."""
@@ -173,11 +170,14 @@ class Reader:
     def u16(self) -> int:
         return int.from_bytes(self._take(2), "big")
 
-    def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
-
     def u64(self) -> int:
         return int.from_bytes(self._take(8), "big")
+
+    def flag(self) -> bool:
+        v = self.u8()
+        if v > 1:
+            raise CodecError(f"flag byte {v} is neither 0 nor 1")
+        return v == 1
 
     def blob(self) -> bytes:
         return self._take(self.u16())
@@ -193,12 +193,41 @@ class Reader:
         key_bytes = self.blob()
         return get_backend(backend_name).decode_public_key(key_bytes)
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
-
     def expect_exhausted(self) -> None:
-        if not self.exhausted:
+        if self._pos != len(self._data):
             raise CodecError(
                 f"{len(self._data) - self._pos} trailing bytes after message"
             )
+
+
+@dataclass(frozen=True)
+class Wire:
+    """How one field travels: ``put(writer, value)`` and ``get(reader)``."""
+
+    put: Callable[[Writer, Any], None]
+    get: Callable[[Reader], Any]
+
+
+def _put_cursor(w: Writer, v: int) -> None:
+    w.u16(0xFFFF if v == -1 else v)
+
+
+def _get_cursor(r: Reader) -> int:
+    v = r.u16()
+    return -1 if v == 0xFFFF else v
+
+
+def _put_ns(w: Writer, seconds: float) -> None:
+    w.u64(int(seconds * 1e9))
+
+
+def _get_ns(r: Reader) -> float:
+    return r.u64() / 1e9
+
+
+#: IPv6 hop limit: one byte.
+HopLimit = Annotated[int, Wire(Writer.u8, Reader.u8)]
+#: Source-route cursor: u16, with -1 (still at the source) sent as 0xFFFF.
+SegmentIndex = Annotated[int, Wire(_put_cursor, _get_cursor)]
+#: Seconds, sent as u64 nanoseconds.
+Timestamp = Annotated[float, Wire(_put_ns, _get_ns)]

@@ -8,22 +8,12 @@ answers a name conflict with ``DREP(SIP, RR, [DN, ch]_NSK)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
+from repro.messages.base import HopLimit, Message, MessageMeta
 
 
 @dataclass(frozen=True)
@@ -53,32 +43,13 @@ class AREQ(Message):
     domain_name: str
     ch: int
     route_record: tuple[IPv6Address, ...] = ()
-    hop_limit: int = 64
+    hop_limit: HopLimit = 64
 
     def append_hop(self, hop: IPv6Address) -> "AREQ":
         """The rebroadcast copy with ``hop`` appended to RR and TTL decremented."""
         return self.replace(
             route_record=self.route_record + (hop,),
             hop_limit=self.hop_limit - 1,
-        )
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.u64(self.seq)
-        w.text(self.domain_name)
-        w.u64(self.ch)
-        _encode_route(w, self.route_record)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "AREQ":
-        return cls(
-            sip=r.address(),
-            seq=r.u64(),
-            domain_name=r.text(),
-            ch=r.u64(),
-            route_record=_decode_route(r),
-            hop_limit=r.u8(),
         )
 
 
@@ -112,30 +83,7 @@ class AREP(Message):
     #: route to the DNS, so the warning copy is flooded (relays dedup on
     #: (SIP, ch)).  Security is unaffected -- the warning is signed.
     to_dns: bool = False
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        _encode_route(w, self.route_record)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.u64(self.ch)
-        w.u8(1 if self.to_dns else 0)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "AREP":
-        return cls(
-            sip=r.address(),
-            route_record=_decode_route(r),
-            signature=r.blob(),
-            public_key=r.public_key(),
-            rn=r.u64(),
-            ch=r.u64(),
-            to_dns=bool(r.u8()),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64
 
 
 @dataclass(frozen=True)
@@ -158,21 +106,4 @@ class DREP(Message):
     route_record: tuple[IPv6Address, ...]
     domain_name: str
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        _encode_route(w, self.route_record)
-        w.text(self.domain_name)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DREP":
-        return cls(
-            sip=r.address(),
-            route_record=_decode_route(r),
-            domain_name=r.text(),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64

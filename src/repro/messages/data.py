@@ -13,17 +13,7 @@ from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
+from repro.messages.base import HopLimit, Message, MessageMeta, SegmentIndex, Timestamp
 
 
 @dataclass(frozen=True)
@@ -47,11 +37,11 @@ class DataPacket(Message):
     seq: int
     route: tuple[IPv6Address, ...]
     payload: bytes = b""
-    segment_index: int = -1
+    segment_index: SegmentIndex = -1
     #: Origination timestamp (a real stack would carry this in an
     #: application header; used for end-to-end latency measurement).
-    sent_at: float = 0.0
-    hop_limit: int = 64
+    sent_at: Timestamp = 0.0
+    hop_limit: HopLimit = 64
 
     def full_path(self) -> tuple[IPv6Address, ...]:
         """S, intermediates..., D."""
@@ -69,30 +59,6 @@ class DataPacket(Message):
         """The copy held by the next hop."""
         return self.replace(segment_index=self.segment_index + 1,
                             hop_limit=self.hop_limit - 1)
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_route(w, self.route)
-        w.blob(self.payload)
-        w.u16(self.segment_index & 0xFFFF)
-        w.u64(int(self.sent_at * 1e9))  # nanosecond-resolution timestamp
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DataPacket":
-        sip = r.address()
-        dip = r.address()
-        seq = r.u64()
-        route = _decode_route(r)
-        payload = r.blob()
-        seg = r.u16()
-        if seg == 0xFFFF:
-            seg = -1
-        sent_at = r.u64() / 1e9
-        return cls(sip=sip, dip=dip, seq=seq, route=route, payload=payload,
-                   segment_index=seg, sent_at=sent_at, hop_limit=r.u8())
 
 
 @dataclass(frozen=True)
@@ -113,27 +79,4 @@ class AckPacket(Message):
     signature: bytes
     public_key: PublicKey
     rn: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_route(w, self.route)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "AckPacket":
-        return cls(
-            sip=r.address(),
-            dip=r.address(),
-            seq=r.u64(),
-            route=_decode_route(r),
-            signature=r.blob(),
-            public_key=r.public_key(),
-            rn=r.u64(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64

@@ -15,17 +15,7 @@ from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
+from repro.messages.base import HopLimit, Message, MessageMeta
 
 
 @dataclass(frozen=True)
@@ -42,17 +32,7 @@ class DNSQuery(Message):
     sip: IPv6Address
     domain_name: str
     ch: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.text(self.domain_name)
-        w.u64(self.ch)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSQuery":
-        return cls(sip=r.address(), domain_name=r.text(), ch=r.u64(), hop_limit=r.u8())
+    hop_limit: HopLimit = 64
 
 
 @dataclass(frozen=True)
@@ -75,26 +55,7 @@ class DNSResponse(Message):
     found: bool
     ch: int
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.address(self.ip)
-        w.u8(1 if self.found else 0)
-        w.u64(self.ch)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSResponse":
-        return cls(
-            domain_name=r.text(),
-            ip=r.address(),
-            found=bool(r.u8()),
-            ch=r.u64(),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64
 
 
 @dataclass(frozen=True)
@@ -110,16 +71,7 @@ class DNSUpdateChallenge(Message):
 
     domain_name: str
     ch: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.u64(self.ch)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSUpdateChallenge":
-        return cls(domain_name=r.text(), ch=r.u64(), hop_limit=r.u8())
+    hop_limit: HopLimit = 64
 
 
 @dataclass(frozen=True)
@@ -144,30 +96,7 @@ class DNSUpdateRequest(Message):
     new_rn: int
     public_key: PublicKey
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.address(self.old_ip)
-        w.address(self.new_ip)
-        w.u64(self.old_rn)
-        w.u64(self.new_rn)
-        w.public_key(self.public_key)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSUpdateRequest":
-        return cls(
-            domain_name=r.text(),
-            old_ip=r.address(),
-            new_ip=r.address(),
-            old_rn=r.u64(),
-            new_rn=r.u64(),
-            public_key=r.public_key(),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64
 
 
 @dataclass(frozen=True)
@@ -186,23 +115,4 @@ class DNSUpdateReply(Message):
     accepted: bool
     ch: int
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.address(self.new_ip)
-        w.u8(1 if self.accepted else 0)
-        w.u64(self.ch)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSUpdateReply":
-        return cls(
-            domain_name=r.text(),
-            new_ip=r.address(),
-            accepted=bool(r.u8()),
-            ch=r.u64(),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64

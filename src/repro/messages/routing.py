@@ -14,7 +14,7 @@ from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
+from repro.messages.base import HopLimit, Message, MessageMeta
 
 
 @dataclass(frozen=True)
@@ -28,36 +28,6 @@ class SRREntry:
     signature: bytes
     public_key: PublicKey
     rn: int
-
-    def encode(self, w: Writer) -> None:
-        w.address(self.ip)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "SRREntry":
-        return cls(ip=r.address(), signature=r.blob(), public_key=r.public_key(), rn=r.u64())
-
-
-def _encode_srr(w: Writer, srr: tuple[SRREntry, ...]) -> None:
-    w.u16(len(srr))
-    for entry in srr:
-        entry.encode(w)
-
-
-def _decode_srr(r: Reader) -> tuple[SRREntry, ...]:
-    return tuple(SRREntry.decode(r) for _ in range(r.u16()))
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
 
 
 @dataclass(frozen=True)
@@ -82,7 +52,7 @@ class RREQ(Message):
     source_signature: bytes
     source_public_key: PublicKey
     source_rn: int
-    hop_limit: int = 64
+    hop_limit: HopLimit = 64
 
     @property
     def route_ips(self) -> tuple[IPv6Address, ...]:
@@ -92,29 +62,6 @@ class RREQ(Message):
     def append_entry(self, entry: SRREntry) -> "RREQ":
         """Rebroadcast copy with this hop's identity proof appended."""
         return self.replace(srr=self.srr + (entry,), hop_limit=self.hop_limit - 1)
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_srr(w, self.srr)
-        w.blob(self.source_signature)
-        w.public_key(self.source_public_key)
-        w.u64(self.source_rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "RREQ":
-        return cls(
-            sip=r.address(),
-            dip=r.address(),
-            seq=r.u64(),
-            srr=_decode_srr(r),
-            source_signature=r.blob(),
-            source_public_key=r.public_key(),
-            source_rn=r.u64(),
-            hop_limit=r.u8(),
-        )
 
 
 @dataclass(frozen=True)
@@ -140,30 +87,7 @@ class RREP(Message):
     signature: bytes
     public_key: PublicKey
     rn: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_route(w, self.route)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "RREP":
-        return cls(
-            sip=r.address(),
-            dip=r.address(),
-            seq=r.u64(),
-            route=_decode_route(r),
-            signature=r.blob(),
-            public_key=r.public_key(),
-            rn=r.u64(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64
 
 
 @dataclass(frozen=True)
@@ -204,46 +128,11 @@ class CREP(Message):
     cached_signature: bytes
     cached_public_key: PublicKey
     cached_rn: int
-    hop_limit: int = 64
+    hop_limit: HopLimit = 64
 
     def full_route(self) -> tuple[IPv6Address, ...]:
         """The spliced S' -> S -> D intermediate-hop list (S itself included)."""
         return self.fresh_route + (self.sip,) + self.cached_route
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sprime_ip)
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.fresh_seq)
-        _encode_route(w, self.fresh_route)
-        w.blob(self.fresh_signature)
-        w.public_key(self.fresh_public_key)
-        w.u64(self.fresh_rn)
-        w.u64(self.cached_seq)
-        _encode_route(w, self.cached_route)
-        w.blob(self.cached_signature)
-        w.public_key(self.cached_public_key)
-        w.u64(self.cached_rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "CREP":
-        return cls(
-            sprime_ip=r.address(),
-            sip=r.address(),
-            dip=r.address(),
-            fresh_seq=r.u64(),
-            fresh_route=_decode_route(r),
-            fresh_signature=r.blob(),
-            fresh_public_key=r.public_key(),
-            fresh_rn=r.u64(),
-            cached_seq=r.u64(),
-            cached_route=_decode_route(r),
-            cached_signature=r.blob(),
-            cached_public_key=r.public_key(),
-            cached_rn=r.u64(),
-            hop_limit=r.u8(),
-        )
 
 
 @dataclass(frozen=True)
@@ -275,27 +164,4 @@ class RERR(Message):
     #: source route, which requires carrying this list.  It is *not*
     #: signed -- tampering with it only misdelivers the report.
     return_route: tuple[IPv6Address, ...] = ()
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.reporter_ip)
-        w.address(self.broken_next_hop)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.address(self.sip)
-        _encode_route(w, self.return_route)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "RERR":
-        return cls(
-            reporter_ip=r.address(),
-            broken_next_hop=r.address(),
-            signature=r.blob(),
-            public_key=r.public_key(),
-            rn=r.u64(),
-            sip=r.address(),
-            return_route=_decode_route(r),
-            hop_limit=r.u8(),
-        )
+    hop_limit: HopLimit = 64

@@ -19,6 +19,11 @@ def _u64(v: int) -> bytes:
     return v.to_bytes(8, "big")
 
 
+def _route(route: tuple[IPv6Address, ...]) -> bytes:
+    """A signed route record: u16 hop count + each hop's 16 bytes."""
+    return len(route).to_bytes(2, "big") + b"".join(hop.packed for hop in route)
+
+
 def arep_payload(sip: IPv6Address, ch: int) -> bytes:
     """``[SIP, ch]_RSK`` -- AREP: the duplicate-holder answers S's challenge."""
     return b"AREP|" + sip.packed + _u64(ch)
@@ -50,10 +55,7 @@ def rrep_payload(sip: IPv6Address, seq: int, route: tuple[IPv6Address, ...]) -> 
     Covering RR means no intermediate node can shorten/alter the path on
     the way back without invalidating D's signature.
     """
-    out = b"RREP|" + sip.packed + _u64(seq) + len(route).to_bytes(2, "big")
-    for hop in route:
-        out += hop.packed
-    return out
+    return b"RREP|" + sip.packed + _u64(seq) + _route(route)
 
 
 def crep_cached_leg_payload(sip: IPv6Address, seq: int, route: tuple[IPv6Address, ...]) -> bytes:
@@ -67,9 +69,7 @@ def crep_cached_leg_payload(sip: IPv6Address, seq: int, route: tuple[IPv6Address
 
 def crep_fresh_leg_payload(sprime_ip: IPv6Address, seq: int, route: tuple[IPv6Address, ...]) -> bytes:
     """The fresh ``[S'IP, seq', RR(S'->S)]_SSK`` leg: S vouches for its path to S'."""
-    return b"CREP-F|" + sprime_ip.packed + _u64(seq) + len(route).to_bytes(2, "big") + b"".join(
-        hop.packed for hop in route
-    )
+    return b"CREP-F|" + sprime_ip.packed + _u64(seq) + _route(route)
 
 
 def rerr_payload(iip: IPv6Address, next_ip: IPv6Address) -> bytes:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ipv6.cga import cga_address
+from repro.messages.data import DataPacket
 from tests.conftest import chain_scenario
 
 
@@ -170,3 +171,19 @@ def test_dns_answers_route_discovery_for_anycast():
     )
     sc.run(duration=10.0)
     assert delivered == [1]
+
+
+def test_malformed_payload_to_dns_is_ignored():
+    """A DATA payload that fails to decode is dropped; the run goes on."""
+    sc = bootstrapped(n=3)
+    names_before = set(sc.dns_server.table.names())
+    sender = sc.hosts[0]
+    # An NS whose domain name is not valid UTF-8.
+    junk = bytes([1]) + b"\0" * 16 + b"\0\1\xff" + b"\1"
+    sender.router.send_data(sc.dns_node.ip, junk)
+    sc.run(duration=10.0)
+    assert sc.metrics.delivered(sender.ip, sc.dns_node.ip) == 1
+    assert sc.dns_node.deliver_app(
+        DataPacket(sip=sender.ip, dip=sc.dns_node.ip, seq=0, route=(), payload=junk)
+    ) is False
+    assert set(sc.dns_server.table.names()) == names_before

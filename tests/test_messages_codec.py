@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.backend import get_backend
+from repro.crypto.keys import PrivateKey
 from repro.ipv6.address import IPv6Address
 from repro.messages.base import CodecError
 from repro.messages.bootstrap import AREP, AREQ, DREP
@@ -166,3 +167,193 @@ def test_private_key_never_in_encoded_form():
     w = Writer()
     with pytest.raises(AttributeError):
         w.public_key(PrivateKey("simsig", b"secret"))  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# Golden wire vectors: the exact bytes of one sample of every registered
+# type.  The layout is derived from field declarations, so reordering a
+# field or changing an annotation shows up here as a changed hex string.
+# ---------------------------------------------------------------------------
+
+RSA_KEY = get_backend("rsa").generate_keypair(b"codec-golden-rsa").public
+
+
+def golden_samples() -> dict:
+    """The samples of :func:`sample_messages`, varied to reach every form:
+    a 3-entry SRR, an RSA key, a route of length 2, a DATA packet still at
+    its source with a non-zero timestamp, and both ``bool`` values."""
+    by_type = {type(m).__name__: m for m in sample_messages()}
+    entries = tuple(SRREntry(ip=a, signature=bytes([i]) * 16, public_key=KEY, rn=i)
+                    for i, a in enumerate((A1, A2, A3), start=1))
+    by_type["RREQ"] = by_type["RREQ"].replace(srr=entries)
+    by_type["RREP"] = by_type["RREP"].replace(route=(A2, A1), public_key=RSA_KEY)
+    by_type["DataPacket"] = by_type["DataPacket"].replace(
+        segment_index=-1, sent_at=12.345678901)
+    by_type["NeighborAdvertisement"] = by_type["NeighborAdvertisement"].replace(
+        duplicate_name=False)
+    by_type["DNSResponse"] = by_type["DNSResponse"].replace(found=False)
+    return by_type
+
+
+GOLDEN_HEX = {
+    "NeighborSolicitation": "01fec000000000000000000000000000010007612e6d616e657401",
+    "NeighborAdvertisement": "02fec000000000000000000000000000010007612e6d616e65740001",
+    "AREQ": (
+        "0afec000000000000000000000000000010000000000000009000a686f73742e"
+        "6d616e657400000000000003090002fec00000000000000000000000000002fe"
+        "c0000000000000000000000000000340"
+    ),
+    "AREP": (
+        "0bfec000000000000000000000000000010001fec00000000000000000000000"
+        "000002001005050505050505050505050505050505000673696d73696700106d"
+        "73793d5507e5022d3848049ff69a560000000000000003000000000000030901"
+        "40"
+    ),
+    "DREP": (
+        "0cfec000000000000000000000000000010002fec00000000000000000000000"
+        "000002fec00000000000000000000000000003000a686f73742e6d616e657400"
+        "100606060606060606060606060606060640"
+    ),
+    "RREQ": (
+        "14fec00000000000000000000000000001fec000000000000000000000000000"
+        "0300000000000000050003fec000000000000000000000000000010010010101"
+        "01010101010101010101010101000673696d73696700106d73793d5507e5022d"
+        "3848049ff69a560000000000000001fec0000000000000000000000000000200"
+        "1002020202020202020202020202020202000673696d73696700106d73793d55"
+        "07e5022d3848049ff69a560000000000000002fec00000000000000000000000"
+        "000003001003030303030303030303030303030303000673696d73696700106d"
+        "73793d5507e5022d3848049ff69a560000000000000003001007070707070707"
+        "070707070707070707000673696d73696700106d73793d5507e5022d3848049f"
+        "f69a56000000000000000140"
+    ),
+    "RREP": (
+        "15fec00000000000000000000000000001fec000000000000000000000000000"
+        "0300000000000000050002fec00000000000000000000000000002fec0000000"
+        "0000000000000000000001001008080808080808080808080808080808000372"
+        "73610044e6f0f239b2622afd38e89cb9a041539ba35d412451ab039e7bcb341f"
+        "4cadfd36695f9db8029d7cd2bf942afffedad3ab3f1f2f703b6a5ce150fd6cf9"
+        "44c7069d00010001000000000000000240"
+    ),
+    "CREP": (
+        "16fec00000000000000000000000000001fec000000000000000000000000000"
+        "02fec00000000000000000000000000003000000000000000600000010090909"
+        "09090909090909090909090909000673696d73696700106d73793d5507e5022d"
+        "3848049ff69a56000000000000000400000000000000020001fec00000000000"
+        "00000000000000000100100a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a000673696d"
+        "73696700106d73793d5507e5022d3848049ff69a56000000000000000540"
+    ),
+    "RERR": (
+        "17fec00000000000000000000000000002fec000000000000000000000000000"
+        "0300100b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b000673696d73696700106d7379"
+        "3d5507e5022d3848049ff69a560000000000000006fec0000000000000000000"
+        "00000000010001fec0000000000000000000000000000240"
+    ),
+    "DataPacket": (
+        "1efec00000000000000000000000000001fec000000000000000000000000000"
+        "03000000000000000b0001fec00000000000000000000000000002000568656c"
+        "6c6fffff00000002dfdc1c3540"
+    ),
+    "AckPacket": (
+        "1ffec00000000000000000000000000001fec000000000000000000000000000"
+        "03000000000000000b0001fec0000000000000000000000000000200100c0c0c"
+        "0c0c0c0c0c0c0c0c0c0c0c0c0c000673696d73696700106d73793d5507e5022d"
+        "3848049ff69a56000000000000000740"
+    ),
+    "DNSQuery": (
+        "28fec00000000000000000000000000001000a686f73742e6d616e6574000000"
+        "000000002140"
+    ),
+    "DNSResponse": (
+        "29000a686f73742e6d616e6574fec00000000000000000000000000003000000"
+        "00000000002100100d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d40"
+    ),
+    "DNSUpdateChallenge": "2a000a686f73742e6d616e6574000000000000002c40",
+    "DNSUpdateRequest": (
+        "2b000a686f73742e6d616e6574fec00000000000000000000000000001fec000"
+        "0000000000000000000000000200000000000000010000000000000002000673"
+        "696d73696700106d73793d5507e5022d3848049ff69a5600100e0e0e0e0e0e0e"
+        "0e0e0e0e0e0e0e0e0e40"
+    ),
+    "DNSUpdateReply": (
+        "2c000a686f73742e6d616e6574fec00000000000000000000000000002010000"
+        "00000000002c00100f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f40"
+    ),
+}
+
+
+def test_golden_vectors_cover_every_registered_type():
+    assert set(GOLDEN_HEX) == {cls.__name__ for cls in MESSAGE_TYPES.values()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HEX))
+def test_golden_wire_vector(name):
+    msg = golden_samples()[name]
+    assert encode_message(msg).hex() == GOLDEN_HEX[name]
+    assert decode_message(bytes.fromhex(GOLDEN_HEX[name])) == msg
+
+
+# ---------------------------------------------------------------------------
+# Field-driven layout: registration and fixed widths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("annotation,name", [
+    (PrivateKey, "secret"),  # private keys never travel
+    (float, "when"),  # a float has no default width (cf. Timestamp)
+])
+def test_field_without_wire_form_rejected_at_registration(annotation, name):
+    from dataclasses import make_dataclass
+
+    from repro.messages.base import Message, MessageMeta
+
+    cls = make_dataclass("Leaky", [(name, annotation)], bases=(Message,), frozen=True,
+                         namespace={"META": MessageMeta(201, "LEAK", "leaky", "()")})
+    with pytest.raises(TypeError, match=rf"^Leaky\.{name}: no wire form"):
+        register_message_type(cls)
+    assert 201 not in MESSAGE_TYPES
+
+
+@pytest.mark.parametrize("msg,field", [
+    (DNSQuery(sip=A1, domain_name="x", ch=1, hop_limit=300), "hop_limit"),
+    (DNSQuery(sip=A1, domain_name="x", ch=1, hop_limit=-1), "hop_limit"),
+    (DNSQuery(sip=A1, domain_name="x", ch=-5), "ch"),
+    (DNSQuery(sip=A1, domain_name="x", ch=1 << 64), "ch"),
+    (DataPacket(sip=A1, dip=A2, seq=1, route=(), segment_index=-2), "segment_index"),
+    (DataPacket(sip=A1, dip=A2, seq=1, route=(), segment_index=1 << 16), "segment_index"),
+    (DataPacket(sip=A1, dip=A2, seq=1, route=(), sent_at=-1.0), "sent_at"),
+    (DataPacket(sip=A1, dip=A2, seq=1, route=(), payload=b"x" * 0x10000), "payload"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_value_that_does_not_fit_raises_codec_error_naming_field(msg, field):
+    with pytest.raises(CodecError, match=rf"^{type(msg).__name__}\.{field}: "):
+        encode_message(msg)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input: decode_message returns a message or raises CodecError
+# ---------------------------------------------------------------------------
+
+def _u16(n: int) -> bytes:
+    return n.to_bytes(2, "big")
+
+
+def _dns_update_with_key(backend: bytes, key: bytes) -> bytes:
+    """A DNSUpdateRequest encoding carrying the given raw key fields."""
+    return (bytes([43]) + _u16(1) + b"h" + bytes(32) + bytes(16)
+            + _u16(len(backend)) + backend + _u16(len(key)) + key
+            + _u16(0) + b"\x01")
+
+
+@pytest.mark.parametrize("data,where", [
+    # NS whose domain name is not UTF-8.
+    (bytes([1]) + bytes(16) + b"\0\1\xff" + b"\1", "NeighborSolicitation.domain_name"),
+    # A public key tagged with a backend nobody registered.
+    (_dns_update_with_key(b"nope", bytes(16)), "DNSUpdateRequest.public_key"),
+    # A simsig key of the wrong length.
+    (_dns_update_with_key(b"simsig", b"abc"), "DNSUpdateRequest.public_key"),
+    # A flag byte that is neither 0 nor 1.
+    (bytes([2]) + bytes(16) + _u16(0) + b"\x07" + b"\x01",
+     "NeighborAdvertisement.duplicate_name"),
+], ids=["bad-utf8", "unknown-backend", "short-simsig-key", "bad-flag"])
+def test_malformed_field_raises_codec_error_naming_field(data, where):
+    with pytest.raises(CodecError, match=rf"^{where}: "):
+        decode_message(data)
+

@@ -182,7 +182,7 @@ def test_mutated_encoding_never_equals_original(sip, seq, dn, ch, rr):
 
     msg = AREQ(sip=sip, seq=seq, domain_name=dn, ch=ch, route_record=rr)
     data = bytearray(encode_message(msg))
-    for pos in range(1, min(len(data), 24)):  # skip the type byte
+    for pos in range(1, len(data)):  # skip the type byte
         data[pos] ^= 0xFF
         try:
             other = decode_message(bytes(data))

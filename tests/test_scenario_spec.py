@@ -227,3 +227,24 @@ def test_run_rejects_nan_and_negative_times(kw):
         sc.run(**kw)
     sc.run(duration=0.0)  # zero is a valid (empty) run
     assert sc.sim.now == 0.0
+
+
+@pytest.mark.parametrize("hop_limit", [0, -1, 256, 300])
+def test_out_of_range_hop_limit_rejected_up_front(hop_limit):
+    """Every message carries hop_limit in one byte: 1..255 or bust."""
+    from repro.core.config import NodeConfig
+
+    with pytest.raises(ValueError, match="hop_limit"):
+        NodeConfig(hop_limit=hop_limit)
+    with pytest.raises(ValueError, match="hop_limit"):
+        ScenarioBuilder.from_spec(
+            {"topology": {"kind": "chain", "n": 3}, "config": {"hop_limit": hop_limit}}
+        )
+
+
+@pytest.mark.parametrize("hop_limit", [1, 255])
+def test_hop_limit_bounds_accepted(hop_limit):
+    builder = ScenarioBuilder.from_spec(
+        {"topology": {"kind": "chain", "n": 2}, "config": {"hop_limit": hop_limit}}
+    )
+    assert builder.build().hosts[0].config.hop_limit == hop_limit
