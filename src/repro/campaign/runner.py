@@ -251,6 +251,7 @@ def _start_workload(scenario, hosts: list, workload: dict, seed: int) -> list:
 
 def _run_body(run: dict) -> dict:
     scenario = ScenarioBuilder.from_spec(run["scenario"]).build()
+    scenario.ctx.trace.enabled = False
     honest = list(scenario.hosts)
     for adversary in run.get("adversaries", []):
         _add_adversary(scenario, adversary)
@@ -285,7 +286,8 @@ def execute_run(run: dict) -> dict:
     Returns a flat record: identification fields plus either the run
     summary (``status == "ok"``) or an error string.  Records contain
     no wall-clock values, so reruns of the same spec+seed are
-    byte-identical.
+    byte-identical.  The run records no trace; to trace it, rebuild it
+    with ``ScenarioBuilder.from_spec(run["scenario"]).build()``.
     """
     record = {
         "run_id": run["run_id"],

@@ -3,7 +3,7 @@
 :class:`~repro.trace.recorder.TraceRecorder` captures per-node
 send/receive/verdict events; :mod:`repro.trace.sequence` renders them as
 the ASCII message-sequence charts that reproduce Figures 2 and 3 of the
-paper.
+paper.  The trace serves single scenarios; campaign runs record none.
 """
 
 from repro.trace.recorder import TraceEvent, TraceRecorder

@@ -2,13 +2,17 @@
 
 Nodes report ``send``/``recv``/``verdict``/``note`` events; the recorder
 keeps them in simulation-time order (appends are already ordered because
-the kernel is sequential).  Filters return lightweight views -- no
-copying of message objects.
+the kernel is sequential).  An event keeps its message (frozen) and
+formats ``detail`` on first read, so an unread trace formats nothing.
+Campaign runs switch the trace off; it serves single scenarios (the
+Figure 2/3 sequences, debugging).  Filters return lightweight views --
+no copying of message objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 
@@ -16,16 +20,26 @@ from typing import Any, Iterable
 class TraceEvent:
     """One traced protocol event.
 
-    ``kind`` is ``"send"``, ``"recv"``, ``"verdict"`` or ``"note"``;
-    ``detail`` is the message summary or verdict string.
+    ``kind`` is ``"send"``, ``"recv"``, ``"verdict"`` or ``"note"``; sends
+    and receipts carry ``payload`` (a unicast its ``target``), the rest ``text``.
     """
 
     time: float
     node: str
     kind: str
     msg_type: str
-    detail: str
+    text: str = ""
     payload: Any = None
+    target: Any = None
+
+    @cached_property
+    def detail(self) -> str:
+        """The message summary (plus ``" ->target"``), else the text."""
+        if self.payload is None:
+            return self.text
+        if self.target is None:
+            return self.payload.summary()
+        return f"{self.payload.summary()} ->{self.target}"
 
     def __str__(self) -> str:
         return f"[{self.time:10.6f}] {self.node:>8} {self.kind:<7} {self.msg_type:<5} {self.detail}"
@@ -34,11 +48,9 @@ class TraceEvent:
 class TraceRecorder:
     """Append-only event log with simple query helpers."""
 
-    def __init__(self, enabled: bool = True, capacity: int | None = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.capacity = capacity
         self.events: list[TraceEvent] = []
-        self.dropped = 0
 
     def record(
         self,
@@ -46,15 +58,12 @@ class TraceRecorder:
         node: str,
         kind: str,
         msg_type: str,
-        detail: str,
+        text: str = "",
         payload: Any = None,
+        target: Any = None,
     ) -> None:
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self.events.append(TraceEvent(time, node, kind, msg_type, detail, payload))
+        if self.enabled:
+            self.events.append(TraceEvent(time, node, kind, msg_type, text, payload, target))
 
     # -- queries -----------------------------------------------------------
     def filter(
@@ -85,4 +94,3 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self.events.clear()
-        self.dropped = 0

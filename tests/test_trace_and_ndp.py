@@ -17,14 +17,6 @@ def test_recorder_basic_and_filters():
     assert "RREQ" in tr.dump()
 
 
-def test_recorder_capacity_bound():
-    tr = TraceRecorder(capacity=2)
-    for i in range(5):
-        tr.record(float(i), "a", "send", "X", "d")
-    assert len(tr.events) == 2
-    assert tr.dropped == 3
-
-
 def test_recorder_disabled():
     tr = TraceRecorder(enabled=False)
     tr.record(0.0, "a", "send", "X", "d")
@@ -35,7 +27,7 @@ def test_recorder_clear():
     tr = TraceRecorder()
     tr.record(0.0, "a", "send", "X", "d")
     tr.clear()
-    assert tr.events == [] and tr.dropped == 0
+    assert tr.events == []
 
 
 def test_sequence_chart_renders_columns_and_arrows():
