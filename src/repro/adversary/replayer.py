@@ -1,16 +1,23 @@
 """Replay attacks (Section 4).
 
 The replayer records every AREP, DREP, RREP and CREP it overhears and
-fires the recordings back when a fresh AREQ/RREQ with matching
-addresses appears.  The paper's defence is challenge/sequence binding:
-the stored signature covers the *old* challenge or sequence number, so
-the victim's verification finds a mismatch every time.  The experiment
-asserts the acceptance count is exactly zero.
+fires each distinct reply, once per fresh request, back when an
+AREQ/RREQ with matching addresses appears.  The paper's defence is
+challenge/sequence binding: the stored signature covers the *old*
+challenge or sequence number, so the victim's verification finds a
+mismatch every time.  The experiment asserts the acceptance count is
+exactly zero.
+
+One stale copy per fresh request tests that defence fully, so the agent
+stores a reply only if its bytes are new (its own replays, heard again
+as they are relayed, are not) and answers each request once, not once
+per flooded copy of it.
 """
 
 from __future__ import annotations
 
 from repro.core.node import Node
+from repro.messages.base import Message
 from repro.messages.bootstrap import AREP, AREQ, DREP
 from repro.messages.routing import CREP, RERR, RREP, RREQ
 from repro.phy.medium import Frame
@@ -34,30 +41,39 @@ class ReplayAgent:
         self.recorded_creps: list[CREP] = []
         self.recorded_rerrs: list[RERR] = []
         self.replays_fired = 0
+        # Wire bytes of every recording: the sender already encoded the
+        # overheard message object, so the key costs no encode.
+        self._recorded: set[bytes] = set()
+        # Requests already answered: AREQs by (sip, seq, ch), RREQs by
+        # (sip, dip, seq).
+        self._answered: set[tuple] = set()
 
-        node.register_handler(AREP, self._record_arep)
-        node.register_handler(DREP, self._record_drep)
-        node.register_handler(RREP, self._record_rrep)
-        node.register_handler(CREP, self._record_crep)
-        node.register_handler(RERR, self._record_rerr)
+        self._stores: dict[type, list] = {
+            AREP: self.recorded_areps,
+            DREP: self.recorded_dreps,
+            RREP: self.recorded_rreps,
+            CREP: self.recorded_creps,
+            RERR: self.recorded_rerrs,
+        }
+        for msg_cls in self._stores:
+            node.register_handler(msg_cls, self._record, overheard=True)
         node.register_handler(AREQ, self._maybe_replay_bootstrap)
         node.register_handler(RREQ, self._maybe_replay_routing)
 
     # -- recording ------------------------------------------------------------
-    def _record_arep(self, frame: Frame, msg: AREP) -> None:
-        self.recorded_areps.append(msg)
+    def _record(self, frame: Frame, msg: Message) -> None:
+        """Store ``msg`` unless a byte-identical copy is already stored."""
+        wire = msg.wire_bytes()
+        if wire not in self._recorded:
+            self._recorded.add(wire)
+            self._stores[type(msg)].append(msg)
 
-    def _record_drep(self, frame: Frame, msg: DREP) -> None:
-        self.recorded_dreps.append(msg)
-
-    def _record_rrep(self, frame: Frame, msg: RREP) -> None:
-        self.recorded_rreps.append(msg)
-
-    def _record_crep(self, frame: Frame, msg: CREP) -> None:
-        self.recorded_creps.append(msg)
-
-    def _record_rerr(self, frame: Frame, msg: RERR) -> None:
-        self.recorded_rerrs.append(msg)
+    def _fresh(self, key: tuple) -> bool:
+        """True the first time a request ``key`` is heard."""
+        if key in self._answered:
+            return False
+        self._answered.add(key)
+        return True
 
     # -- replaying ---------------------------------------------------------------
     def _maybe_replay_bootstrap(self, frame: Frame, msg: AREQ) -> None:
@@ -67,6 +83,8 @@ class ReplayAgent:
         were accepted the joiner would needlessly give up its address (a
         denial-of-service on bootstrap).
         """
+        if not self._fresh((msg.sip, msg.seq, msg.ch)):
+            return
         for old in self.recorded_areps:
             if old.sip == msg.sip and not old.to_dns:
                 self.replays_fired += 1
@@ -82,6 +100,8 @@ class ReplayAgent:
         The stored RREP's signature covers the old sequence number; the
         source's stale-seq / signature check rejects it.
         """
+        if not self._fresh((msg.sip, msg.dip, msg.seq)):
+            return
         for old in self.recorded_rreps:
             if old.dip == msg.dip and old.sip == msg.sip:
                 self.replays_fired += 1

@@ -76,6 +76,8 @@ class Node:
         self.radio = ctx.medium.attach(position, self._on_frame)
         self.neighbor_cache: dict[IPv6Address, int] = {}
         self._handlers: dict[Type[Message], list[Callable[[Frame, Message], None]]] = {}
+        #: Handlers that also see unicast frames overheard in monitor mode.
+        self._sniffers: dict[Type[Message], list[Callable[[Frame, Message], None]]] = {}
         #: Application-layer handlers: messages carried as DATA payloads
         #: (the DNS protocol) are dispatched here by the router.
         self._app_handlers: dict[Type[Message], list[Callable[[Message, "Message"], None]]] = {}
@@ -280,10 +282,20 @@ class Node:
 
     # -- receive path -------------------------------------------------------------
     def register_handler(
-        self, msg_cls: Type[Message], handler: Callable[[Frame, Message], None]
+        self,
+        msg_cls: Type[Message],
+        handler: Callable[[Frame, Message], None],
+        overheard: bool = False,
     ) -> None:
-        """Components call this to receive messages of ``msg_cls``."""
+        """Components call this to receive messages of ``msg_cls``.
+
+        Unicast frames addressed to another link, which a monitor-mode
+        radio overhears, reach only handlers registered ``overheard=True``:
+        the host's own stack drops them, as a real one would.
+        """
         self._handlers.setdefault(msg_cls, []).append(handler)
+        if overheard:
+            self._sniffers.setdefault(msg_cls, []).append(handler)
 
     def register_app_handler(
         self, msg_cls: Type[Message], handler: Callable[[Message, Message], None]
@@ -323,7 +335,10 @@ class Node:
         name = type(msg).META.name
         self.ctx.metrics.on_receive(name)
         self.ctx.trace.record(self.sim.now, self.name, "recv", name, payload=msg)
-        for handler in self._handlers.get(type(msg), ()):
+        handlers = self._handlers
+        if frame.dst_link != BROADCAST_LINK and frame.dst_link != self.link_id:
+            handlers = self._sniffers  # overheard in monitor mode
+        for handler in handlers.get(type(msg), ()):
             handler(frame, msg)
 
     # -- send path ------------------------------------------------------------------

@@ -23,6 +23,7 @@ class DataPacket(Message):
     ``route`` lists the intermediate hops only (S and D excluded),
     matching the paper's RR convention.  ``segment_index`` is the cursor
     of the hop currently holding the packet (-1 while at the source).
+    An empty ``payload`` marks a black-hole probe, which no flow counts.
     """
 
     META: ClassVar[MessageMeta] = MessageMeta(

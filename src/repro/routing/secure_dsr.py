@@ -210,9 +210,12 @@ class SecureDSRRouter:
 
         Returns the packet sequence number.  Delivery is confirmed by the
         destination's signed end-to-end ACK (which also pays out credit).
+        ``payload`` must not be empty: an empty payload marks a probe.
         """
         if not self.node.configured:
             raise RuntimeError(f"{self.node.name}: cannot send before bootstrap")
+        if not payload:
+            raise ValueError("empty payload: reserved for black-hole probes")
         seq = self.node.next_seq()
         packet = DataPacket(
             sip=self.node.ip,
@@ -596,7 +599,9 @@ class SecureDSRRouter:
 
     def _deliver_data(self, msg: DataPacket) -> None:
         key = (msg.sip, msg.seq)
-        if key not in self._delivered_seqs:
+        # An empty payload is a black-hole probe: ACKed like data, but it
+        # belongs to no flow (send_data never sends one).
+        if msg.payload and key not in self._delivered_seqs:
             self._delivered_seqs.add(key)
             latency = self.node.sim.now - msg.sent_at
             self.node.ctx.metrics.on_data_delivered(msg.sip, msg.dip, latency)

@@ -43,8 +43,8 @@ class CBRTraffic:
         payload_size: int = 64,
         start_at: float = 0.0,
     ):
-        if interval <= 0 or count <= 0 or payload_size < 0:
-            raise ValueError("interval/count must be positive, payload_size >= 0")
+        if interval <= 0 or count <= 0 or payload_size <= 0:
+            raise ValueError("interval/count/payload_size must be positive")
         self.src = src
         self.dst = dst
         self.interval = interval
@@ -87,8 +87,8 @@ class PoissonTraffic:
         payload_size: int = 64,
         start_at: float = 0.0,
     ):
-        if rate <= 0 or count <= 0:
-            raise ValueError("rate and count must be positive")
+        if rate <= 0 or count <= 0 or payload_size <= 0:
+            raise ValueError("rate/count/payload_size must be positive")
         self.src = src
         self.dst = dst
         self.rate = rate

@@ -38,6 +38,18 @@ def test_secure_protocol_detects_and_routes_around_blackhole():
     assert sc.metrics.verdicts["probe.suspects_penalized"] >= 1
 
 
+def test_probes_touch_no_flow_counter():
+    """A probe sweep is not data: no flow counts the probes it sends."""
+    sc, bh, traffic = run_blackhole()
+    assert sc.metrics.verdicts["probe.suspects_penalized"] >= 1  # swept
+    a, b = sc.hosts[0], sc.hosts[1]
+    assert set(sc.metrics.flows) == {(a.ip, b.ip)}  # none to a probed hop
+    for flow in sc.metrics.flows.values():
+        assert flow.delivered <= flow.sent
+        assert flow.acked <= flow.sent
+    assert 0.0 <= sc.metrics.pdr() <= 1.0
+
+
 def test_blackhole_starved_after_detection():
     """After the penalty, the black hole stops seeing data traffic."""
     sc, bh, traffic = run_blackhole(count=30)

@@ -123,6 +123,20 @@ def test_data_to_unconfigured_source_raises():
                                      b"x")
 
 
+def test_empty_payload_is_reserved_for_probes():
+    """An empty DATA payload marks a probe, so no flow may send one."""
+    from repro.scenarios.workloads import CBRTraffic, PoissonTraffic
+
+    sc = bootstrapped(n=2)
+    a, b = sc.hosts
+    with pytest.raises(ValueError, match="probes"):
+        a.router.send_data(b.ip, b"")
+    for traffic in (CBRTraffic, PoissonTraffic):
+        with pytest.raises(ValueError, match="payload_size"):
+            traffic(a, b.ip, payload_size=0)
+    assert not sc.metrics.flows
+
+
 def test_duplicate_data_delivery_suppressed():
     """Retransmitted packets deliver the payload to the app only once."""
     sc = bootstrapped(n=3)
